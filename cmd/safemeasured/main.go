@@ -151,6 +151,11 @@ func main() {
 	mux.Handle("/measure", svc.Handler())
 	mux.Handle("/", telemetry.Handler(reg, nil, svc.Ready))
 
+	// Catch signals before the listener can answer /readyz: a SIGTERM sent
+	// as soon as the service reports ready must drain, not kill it.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "safemeasured:", err)
@@ -172,8 +177,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "safemeasured: serving /measure, /metrics, /healthz, /readyz on %s (%d workers)\n",
 		ln.Addr(), *workers)
 
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		fmt.Fprintln(os.Stderr, "safemeasured:", err)

@@ -24,7 +24,7 @@ type Client struct {
 	port uint16
 
 	nextID  uint16
-	pending map[uint16]*pendingQuery
+	pending map[uint16]*pendingQuery // made by the first Query
 
 	// Timeout bounds each query.
 	Timeout time.Duration
@@ -37,7 +37,7 @@ type pendingQuery struct {
 
 // NewClient binds a resolver to the host's UDP port.
 func NewClient(h *netsim.Host, port uint16) (*Client, error) {
-	c := &Client{host: h, port: port, nextID: 1, pending: make(map[uint16]*pendingQuery), Timeout: 500 * time.Millisecond}
+	c := &Client{host: h, port: port, nextID: 1, Timeout: 500 * time.Millisecond}
 	if !h.BindUDP(port, c.onDatagram) {
 		return nil, fmt.Errorf("dnssim: UDP port %d in use on %s", port, h.Name)
 	}
@@ -67,6 +67,9 @@ func (c *Client) Query(server netip.Addr, name string, t dnswire.RRType, cb func
 		c.nextID = 1
 	}
 	pq := &pendingQuery{cb: cb}
+	if c.pending == nil {
+		c.pending = make(map[uint16]*pendingQuery)
+	}
 	c.pending[id] = pq
 	q := dnswire.NewQuery(id, name, t)
 	wire, err := q.Marshal()

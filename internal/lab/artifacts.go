@@ -3,7 +3,7 @@ package lab
 import (
 	"fmt"
 	"net/netip"
-	"reflect"
+	"slices"
 
 	"safemeasure/internal/censor"
 	"safemeasure/internal/dnssim"
@@ -90,7 +90,7 @@ func NewArtifacts(cfg Config) (*Artifacts, error) {
 // compile-relevant fields as cfg (which must already be normalized).
 func (a *Artifacts) matches(cfg Config) error {
 	switch {
-	case !reflect.DeepEqual(a.censorCfg, cfg.Censor):
+	case !sameCensorConfig(a.censorCfg, cfg.Censor):
 		return fmt.Errorf("lab: Artifacts were compiled for a different censor config (%+v vs %+v); build artifacts from this exact config with NewArtifacts", a.censorCfg, cfg.Censor)
 	case a.surveilSrc != cfg.SurveilRules:
 		return fmt.Errorf("lab: Artifacts were compiled for different surveillance rules; build artifacts from this exact config with NewArtifacts")
@@ -98,4 +98,17 @@ func (a *Artifacts) matches(cfg Config) error {
 		return fmt.Errorf("lab: Artifacts were compiled for SiteCount=%d, config wants %d; build artifacts from this exact config with NewArtifacts", a.siteCount, cfg.SiteCount)
 	}
 	return nil
+}
+
+// sameCensorConfig reports whether two censor configs compile alike.
+// TestSameCensorConfigSeesEveryField fails when a field is added to
+// censor.Config but not compared here.
+func sameCensorConfig(a, b censor.Config) bool {
+	return slices.Equal(a.Keywords, b.Keywords) &&
+		slices.Equal(a.BlockedDomains, b.BlockedDomains) &&
+		a.PoisonAddr == b.PoisonAddr &&
+		slices.Equal(a.Blackholed, b.Blackholed) &&
+		slices.Equal(a.BlockedPorts, b.BlockedPorts) &&
+		a.DisableReassembly == b.DisableReassembly &&
+		a.ResidualBlock == b.ResidualBlock
 }

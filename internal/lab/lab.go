@@ -20,6 +20,7 @@ package lab
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 	"time"
 
@@ -176,7 +177,9 @@ type Lab struct {
 	Uplink   *netsim.Link
 	lanLinks []*netsim.Link
 
-	hostPorts map[int]netip.Addr // edge router port -> true host address
+	// hostPorts maps an edge router port to the true address of the host
+	// behind it; the uplink port lies past its end.
+	hostPorts []netip.Addr
 
 	// Sites served by the lab.
 	InnocuousSites []string
@@ -243,14 +246,20 @@ func New(cfg Config) (*Lab, error) {
 		return nil, err
 	}
 
-	l := &Lab{Cfg: cfg, Sim: netsim.NewSim(cfg.Seed), hostPorts: make(map[int]netip.Addr)}
+	nHosts := cfg.PopulationSize + 1
+	l := &Lab{
+		Cfg:        cfg,
+		Sim:        netsim.NewSim(cfg.Seed),
+		Population: make([]population.User, 0, cfg.PopulationSize),
+		lanLinks:   make([]*netsim.Link, 0, nHosts),
+		hostPorts:  make([]netip.Addr, nHosts),
+	}
 	// Telemetry must be installed before any router is constructed: routers
 	// resolve their counter handles from Sim.Tel at creation time.
 	l.Sim.Tel = cfg.Telemetry
 	l.Sim.Trace = cfg.Trace
 	lat := cfg.LinkLatency
 
-	nHosts := cfg.PopulationSize + 1
 	l.Edge = netsim.NewRouter(l.Sim, "edge", EdgeAddr, nHosts+1)
 	l.Border = netsim.NewRouter(l.Sim, "border", BorderAddr, 8)
 
@@ -270,7 +279,7 @@ func New(cfg Config) (*Lab, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := netsim.NewHost(l.Sim, fmt.Sprintf("pop%d", i), addr)
+		h := netsim.NewHost(l.Sim, "pop"+strconv.Itoa(i), addr)
 		l.attachClientHost(h, i+1, lat)
 		stack := tcpsim.NewStack(h)
 		dnsc, err := dnssim.NewClient(h, 5353)
@@ -400,10 +409,10 @@ func (l *Lab) LANLinks() []*netsim.Link { return l.lanLinks }
 
 // savTap enforces source-address validation at the AS edge.
 func (l *Lab) savTap(tp *netsim.TapPacket, _ netsim.Injector) netsim.Verdict {
-	truth, fromHost := l.hostPorts[tp.InPort]
-	if !fromHost || tp.Pkt == nil {
+	if tp.InPort >= len(l.hostPorts) || tp.Pkt == nil {
 		return netsim.Pass // downstream traffic or unparsable
 	}
+	truth := l.hostPorts[tp.InPort]
 	if tp.Pkt.IP.Src == truth {
 		return netsim.Pass
 	}

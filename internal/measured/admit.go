@@ -270,6 +270,7 @@ func (s *Service) complete(fl *flight, rec campaign.RunRecord) {
 	}
 	s.mu.Lock()
 	delete(s.inflight, fl.spec.CellKey())
+	s.completing++
 	if rec.Error == "" && s.cache != nil {
 		s.cache.put(fl.spec.CellKey(), line, rec)
 		s.cacheSize.Set(int64(s.cache.len()))
@@ -306,4 +307,7 @@ func (s *Service) complete(fl *flight, rec campaign.RunRecord) {
 	if s.cfg.OnRecord != nil {
 		s.cfg.OnRecord(rec)
 	}
+	s.mu.Lock()
+	s.completing--
+	s.mu.Unlock()
 }

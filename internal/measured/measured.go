@@ -150,12 +150,15 @@ type Service struct {
 	mu       sync.Mutex
 	cache    *resultCache
 	inflight map[campaign.CellKey]*flight // owner flights not yet complete
-	clients  map[string]*clientState
-	ring     []*clientState // round-robin order
-	cursor   int
-	queued   int
-	draining bool
-	degraded bool
+	// completing counts flights complete has taken out of inflight but not
+	// yet archived and handed to OnRecord; a drain waits for both to empty.
+	completing int
+	clients    map[string]*clientState
+	ring       []*clientState // round-robin order
+	cursor     int
+	queued     int
+	draining   bool
+	degraded   bool
 	// service failure budget (breaker skips excluded, like RunContext)
 	budgetCompleted int
 	budgetErrors    int
@@ -454,14 +457,15 @@ func (s *Service) BeginDrain() {
 // returned — nil means a clean drain with no abandoned in-flight runs.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	// Wait for every outstanding flight (queued or dispatched) to complete.
+	// Wait for every outstanding flight (queued or dispatched) to complete,
+	// archive write included: the caller closes the store once we return.
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	var drainErr error
 wait:
 	for {
 		s.mu.Lock()
-		outstanding := len(s.inflight)
+		outstanding := len(s.inflight) + s.completing
 		s.mu.Unlock()
 		if outstanding == 0 {
 			break

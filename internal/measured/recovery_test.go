@@ -344,6 +344,24 @@ func TestKillRecoveryBinaryArchive(t *testing.T) {
 	}
 }
 
+// TestCleanDrainArchivesEveryRecord repeats clean Shutdown+Close cycles:
+// Shutdown must not return while a completion is still writing its archive
+// row and done marker, or the store closes under it and the row is lost.
+func TestCleanDrainArchivesEveryRecord(t *testing.T) {
+	specs := recoverySpecs()
+	for _, workers := range []int{2, 8} {
+		for _, name := range []string{"archive.jsonl", "archive.bin"} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, name), func(t *testing.T) {
+				for cycle := 0; cycle < 200; cycle++ {
+					if archive, _ := runBaseline(t, workers, specs, name); len(archive) != recoveryCells {
+						t.Fatalf("cycle %d: archived %d records, want %d", cycle, len(archive), recoveryCells)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestWarmStartServesByteIdenticalCacheHits is the warm-start contract in
 // isolation: a clean restart re-serves every previously answered cell from
 // the rebuilt cache — byte-identical lines, zero executions.

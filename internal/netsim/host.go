@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 
 	"safemeasure/internal/packet"
 )
@@ -34,7 +35,8 @@ type Host struct {
 	// the host answers SYNs with RST (closed port), matching OS behavior.
 	TCPDispatch func(h *Host, pkt *packet.Packet)
 
-	udpHandlers map[uint16]UDPHandler
+	udp         []udpBinding  // few per host, so a scan beats a map
+	udp1        [1]udpBinding // udp's initial backing: most hosts bind one port
 	icmpHandler ICMPHandler
 	sniffers    []Sniffer
 	reasm       *packet.Reassembler
@@ -46,9 +48,16 @@ type Host struct {
 	Discarded int // not addressed to us
 }
 
+type udpBinding struct {
+	port uint16
+	fn   UDPHandler
+}
+
 // NewHost creates a host bound to the simulator.
 func NewHost(sim *Sim, name string, addr netip.Addr) *Host {
-	return &Host{Name: name, Addr: addr, sim: sim, udpHandlers: make(map[uint16]UDPHandler)}
+	h := &Host{Name: name, Addr: addr, sim: sim}
+	h.udp = h.udp1[:0]
+	return h
 }
 
 // Sim returns the simulator the host runs in.
@@ -59,15 +68,27 @@ func (h *Host) AttachPort(p *Port) { h.port = p }
 
 // BindUDP installs a handler for a UDP port; returns false if already bound.
 func (h *Host) BindUDP(port uint16, fn UDPHandler) bool {
-	if _, ok := h.udpHandlers[port]; ok {
+	if h.udpIndex(port) >= 0 {
 		return false
 	}
-	h.udpHandlers[port] = fn
+	h.udp = append(h.udp, udpBinding{port, fn})
 	return true
 }
 
 // UnbindUDP removes a UDP binding.
-func (h *Host) UnbindUDP(port uint16) { delete(h.udpHandlers, port) }
+func (h *Host) UnbindUDP(port uint16) {
+	h.udp = slices.DeleteFunc(h.udp, func(b udpBinding) bool { return b.port == port })
+}
+
+// udpIndex returns the index of port's binding in h.udp, or -1.
+func (h *Host) udpIndex(port uint16) int {
+	for i := range h.udp {
+		if h.udp[i].port == port {
+			return i
+		}
+	}
+	return -1
+}
 
 // HandleICMP installs the ICMP handler.
 func (h *Host) HandleICMP(fn ICMPHandler) { h.icmpHandler = fn }
@@ -131,8 +152,8 @@ func (h *Host) DeliverIP(_ int, raw []byte) {
 		}
 		h.replyRST(pkt)
 	case pkt.UDP != nil:
-		if fn, ok := h.udpHandlers[pkt.UDP.DstPort]; ok {
-			fn(h, pkt.IP.Src, pkt.UDP.SrcPort, pkt.UDP.Payload)
+		if i := h.udpIndex(pkt.UDP.DstPort); i >= 0 {
+			h.udp[i].fn(h, pkt.IP.Src, pkt.UDP.SrcPort, pkt.UDP.Payload)
 			return
 		}
 		h.replyPortUnreachable(pkt, raw)

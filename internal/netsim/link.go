@@ -57,7 +57,7 @@ type Link struct {
 	ReorderDelay time.Duration
 	Duplicate    float64
 	Corrupt      float64
-	a, b         *Port
+	a, b         Port // held by value so a link is one allocation
 
 	// Stats.
 	Delivered  int
@@ -81,16 +81,16 @@ func (l *Link) ApplyImpairment(im Impairment) {
 // passed back in DeliverIP as the receiving node's port index.
 func Connect(sim *Sim, a Endpoint, aPort int, b Endpoint, bPort int, latency time.Duration) *Link {
 	l := &Link{sim: sim, Latency: latency}
-	l.a = &Port{sim: sim, node: a, idx: aPort, link: l}
-	l.b = &Port{sim: sim, node: b, idx: bPort, link: l}
+	l.a = Port{sim: sim, node: a, idx: aPort, link: l}
+	l.b = Port{sim: sim, node: b, idx: bPort, link: l}
 	return l
 }
 
 // PortA returns the a-side port (attached to the first Connect argument).
-func (l *Link) PortA() *Port { return l.a }
+func (l *Link) PortA() *Port { return &l.a }
 
 // PortB returns the b-side port.
-func (l *Link) PortB() *Port { return l.b }
+func (l *Link) PortB() *Port { return &l.b }
 
 // AttachHost links a host's uplink to a router port. It returns the link so
 // callers can adjust latency or loss afterwards.
@@ -121,9 +121,9 @@ func (p *Port) Send(raw []byte) {
 		l.Dropped++
 		return
 	}
-	peer := l.a
-	if p == l.a {
-		peer = l.b
+	peer := &l.a
+	if p == &l.a {
+		peer = &l.b
 	}
 	if l.Duplicate > 0 && rng.Float64() < l.Duplicate {
 		l.Duplicated++

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"safemeasure/internal/packet"
@@ -108,7 +108,10 @@ type Router struct {
 
 // NewRouter creates a router with the given number of ports.
 func NewRouter(sim *Sim, name string, addr netip.Addr, nports int) *Router {
-	r := &Router{Name: name, Addr: addr, sim: sim, ports: make([]*Port, nports), defaultPort: -1}
+	// A router usually holds about one route per port, so AddRoute rarely
+	// grows routes.
+	r := &Router{Name: name, Addr: addr, sim: sim, ports: make([]*Port, nports),
+		routes: make([]route, 0, nports), defaultPort: -1}
 	r.mForwarded = sim.Tel.Counter("netsim_forwarded_total")
 	r.mTTLExpired = sim.Tel.Counter("netsim_ttl_expired_total")
 	r.mTapDropped = sim.Tel.Counter("netsim_tap_dropped_total")
@@ -133,10 +136,14 @@ func (r *Router) AddRoute(prefix netip.Prefix, port int) {
 		// nonzero network can't be satisfied); Contains handles them.
 		rt.net4, rt.mask4 = 1, 0
 	}
-	r.routes = append(r.routes, rt)
-	sort.SliceStable(r.routes, func(i, j int) bool {
-		return r.routes[i].prefix.Bits() > r.routes[j].prefix.Bits()
-	})
+	// Keep routes ordered by descending prefix length, a new route after
+	// every existing one at least as long: the order a stable sort of the
+	// insertion sequence gives.
+	i := len(r.routes)
+	for i > 0 && r.routes[i-1].prefix.Bits() < prefix.Bits() {
+		i--
+	}
+	r.routes = slices.Insert(r.routes, i, rt)
 }
 
 // SetDefaultRoute installs the port used when no prefix matches.

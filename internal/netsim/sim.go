@@ -104,9 +104,9 @@ type Sim struct {
 	Trace *telemetry.Tracer
 }
 
-// NewSim creates a simulator with a deterministic RNG.
+// NewSim creates a simulator with a deterministic RNG (see NewRand).
 func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), MaxEvents: 10_000_000}
+	return &Sim{rng: NewRand(seed), MaxEvents: 10_000_000}
 }
 
 // Now returns the current virtual time.

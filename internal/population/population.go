@@ -91,7 +91,7 @@ type Generator struct {
 
 // New creates a generator.
 func New(sim *netsim.Sim, cfg Config) *Generator {
-	g := &Generator{sim: sim, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g := &Generator{sim: sim, cfg: cfg, rng: netsim.NewRand(cfg.Seed)}
 	if len(cfg.Sites) > 0 {
 		g.siteZipf = rand.NewZipf(g.rng, zipfS, zipfV, uint64(len(cfg.Sites)-1))
 	}

@@ -72,6 +72,8 @@ type Stack struct {
 	host *netsim.Host
 	sim  *netsim.Sim
 
+	// The maps are made on first insert: most stacks in a lab (the idle
+	// cover users') never listen, dial or ignore a port.
 	listeners map[uint16]func(*Conn)
 	conns     map[packet.Flow]*Conn
 	ignored   map[uint16]bool
@@ -86,13 +88,10 @@ type Stack struct {
 // NewStack creates a stack bound to h and installs its dispatcher.
 func NewStack(h *netsim.Host) *Stack {
 	s := &Stack{
-		host:      h,
-		sim:       h.Sim(),
-		listeners: make(map[uint16]func(*Conn)),
-		conns:     make(map[packet.Flow]*Conn),
-		ignored:   make(map[uint16]bool),
-		nextPort:  32768,
-		RTO:       defaultRTO, MaxRetries: defaultMaxRetries,
+		host:     h,
+		sim:      h.Sim(),
+		nextPort: 32768,
+		RTO:      defaultRTO, MaxRetries: defaultMaxRetries,
 	}
 	h.TCPDispatch = func(_ *netsim.Host, pkt *packet.Packet) { s.dispatch(pkt) }
 	return s
@@ -106,6 +105,9 @@ func (s *Stack) Host() *netsim.Host { return s.host }
 func (s *Stack) Listen(port uint16, accept func(*Conn)) error {
 	if _, ok := s.listeners[port]; ok {
 		return fmt.Errorf("tcpsim: port %d already listening", port)
+	}
+	if s.listeners == nil {
+		s.listeners = make(map[uint16]func(*Conn))
 	}
 	s.listeners[port] = accept
 	return nil
@@ -155,9 +157,11 @@ func (s *Stack) newConn(flow packet.Flow) *Conn {
 		stack: s,
 		flow:  flow,
 		iss:   uint32(s.sim.Rand().Int63()),
-		ooo:   make(map[uint32][]byte),
 	}
 	c.sndUna = c.iss
+	if s.conns == nil {
+		s.conns = make(map[packet.Flow]*Conn)
+	}
 	s.conns[flow] = c
 	return c
 }
@@ -165,7 +169,12 @@ func (s *Stack) newConn(flow packet.Flow) *Conn {
 // IgnorePort makes the stack stay silent for segments to a local port —
 // no RST, no state. Raw-socket responders (the stateful-mimicry server)
 // claim ports this way and handle them via sniffers.
-func (s *Stack) IgnorePort(port uint16) { s.ignored[port] = true }
+func (s *Stack) IgnorePort(port uint16) {
+	if s.ignored == nil {
+		s.ignored = make(map[uint16]bool)
+	}
+	s.ignored[port] = true
+}
 
 // dispatch routes an incoming segment to its connection or listener.
 func (s *Stack) dispatch(pkt *packet.Packet) {
@@ -255,7 +264,7 @@ type Conn struct {
 
 	rtxq       []pendingSeg
 	timerArmed bool
-	ooo        map[uint32][]byte // out-of-order segments by seq
+	ooo        map[uint32][]byte // out-of-order segments by seq; made on first use
 
 	// OnConnect fires when the handshake completes (both sides).
 	OnConnect func(*Conn)
@@ -521,6 +530,9 @@ func (c *Conn) ingestData(seq uint32, payload []byte) {
 		seq = c.rcvNxt
 	}
 	if seq != c.rcvNxt {
+		if c.ooo == nil {
+			c.ooo = make(map[uint32][]byte)
+		}
 		c.ooo[seq] = append([]byte(nil), payload...)
 		c.sendSegment(c.sndNxt, packet.TCPAck, nil, false) // dup-ack
 		return

@@ -25,6 +25,9 @@ go vet ./...
 go build ./examples/...
 go vet ./examples/...
 go test ./...
+# bench/ is its own module, so the root `./...` never builds it; an internal
+# API change would otherwise break smbench silently.
+(cd bench && go vet ./... && go test ./...)
 go test -race ./internal/campaign ./internal/measured ./internal/telemetry ./internal/netsim ./internal/core ./internal/population ./internal/censor ./internal/ids
 go test -race ./internal/chaos
 
