@@ -41,9 +41,9 @@
 // consecutive failed runs (skipped runs are explicit records a later
 // -resume re-runs); -fail-budget F aborts the whole campaign once more than
 // fraction F of completed runs are errors, flushing the sinks and exiting 3
-// with a -resume hint; -hedge launches a second attempt for straggling runs
-// (a duration, or pNN to derive the delay from live run latency). A stall
-// watchdog dumps goroutines to stderr if no run completes for 3x -timeout.
+// with a -resume hint. A stall watchdog dumps goroutines to stderr if no run
+// completes for 3x -timeout. Runs dispatch through campaign.Pool, the same
+// worker pool safemeasured serves requests from.
 //
 // Exit codes: 0 success, 1 run errors or internal failure, 2 usage,
 // 3 failure-budget abort (resumable), 130 interrupted (resumable).
@@ -58,7 +58,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -102,7 +101,6 @@ func main() {
 	syncEvery := flag.Int("sync-every", 64, "flush+fsync sinks every N lines so a hard crash loses at most N (0 buffers until exit)")
 	breakerN := flag.Int("breaker", 0, "per-cell circuit breaker: open after N consecutive failed runs, skip during cooldown, half-open probe (0 disables)")
 	failBudget := flag.Float64("fail-budget", -1, "abort the campaign when more than this fraction of completed runs are errors (negative disables)")
-	hedgeSpec := flag.String("hedge", "", "hedge straggling runs: a duration (e.g. 500ms) or pNN (e.g. p95) derived from live run latency (empty disables)")
 	resume := flag.Bool("resume", false, "skip runs already recorded in -out and append")
 	list := flag.Bool("list", false, "list scenarios and techniques, then exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /progress, and /debug/pprof on this address (e.g. :9090)")
@@ -180,14 +178,6 @@ func main() {
 	}
 	if *failBudget >= 0 {
 		opts.Budget = &campaign.FailureBudget{Fraction: *failBudget}
-	}
-	if *hedgeSpec != "" {
-		hedge, err := parseHedge(*hedgeSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts.Hedge = hedge
 	}
 	var sink *campaign.JSONLSink
 	switch {
@@ -458,24 +448,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "campaign: %d runs failed\n", sum.Errors)
 		os.Exit(1)
 	}
-}
-
-// parseHedge turns the -hedge flag into a HedgeConfig: "p95"-style values
-// derive the delay from the live run-latency histogram; anything else must
-// be a fixed duration.
-func parseHedge(spec string) (campaign.HedgeConfig, error) {
-	if strings.HasPrefix(spec, "p") {
-		pct, err := strconv.Atoi(spec[1:])
-		if err != nil || pct < 1 || pct > 99 {
-			return campaign.HedgeConfig{}, fmt.Errorf("campaign: -hedge %q: want p1..p99 or a duration", spec)
-		}
-		return campaign.HedgeConfig{Quantile: float64(pct) / 100}, nil
-	}
-	d, err := time.ParseDuration(spec)
-	if err != nil || d <= 0 {
-		return campaign.HedgeConfig{}, fmt.Errorf("campaign: -hedge %q: want p1..p99 or a positive duration", spec)
-	}
-	return campaign.HedgeConfig{Delay: d}, nil
 }
 
 // splitCSV turns "a,b , c" into {"a","b","c"}.

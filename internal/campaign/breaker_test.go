@@ -147,7 +147,7 @@ func TestBreakerNilSetAllowsEverything(t *testing.T) {
 }
 
 func TestIsBreakerSkip(t *testing.T) {
-	skip := errorRecord(breakerSpec(), errBreakerOpen)
+	skip := ErrorRecord(breakerSpec(), errBreakerOpen)
 	if !IsBreakerSkip(skip) {
 		t.Fatal("skip record not recognized")
 	}

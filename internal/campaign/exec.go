@@ -58,8 +58,10 @@ func configured(name string) (core.Technique, bool) {
 	}
 }
 
-// errorRecord fills a RunRecord for a run that produced no measurement.
-func errorRecord(spec RunSpec, err error) RunRecord {
+// ErrorRecord fills the explicit error record for a run that produced no
+// measurement: the spec's coordinates, canonicalized like a measured record,
+// plus err's message.
+func ErrorRecord(spec RunSpec, err error) RunRecord {
 	rec := RunRecord{Scenario: spec.Scenario, Impairment: recordImpairment(spec.Impairment),
 		Behavior: recordBehavior(spec.Behavior), Trial: spec.Trial, Error: err.Error()}
 	rec.Technique = spec.Technique
@@ -125,19 +127,19 @@ func Execute(spec RunSpec, horizon time.Duration) RunRecord {
 func ExecuteInstrumented(spec RunSpec, cfg ExecConfig) (RunRecord, []telemetry.Event) {
 	tech, ok := configured(spec.Technique)
 	if !ok {
-		return errorRecord(spec, fmt.Errorf("unknown technique %q", spec.Technique)), nil
+		return ErrorRecord(spec, fmt.Errorf("unknown technique %q", spec.Technique)), nil
 	}
 	sc, ok := lab.ScenarioByName(spec.Scenario)
 	if !ok {
-		return errorRecord(spec, fmt.Errorf("unknown scenario %q", spec.Scenario)), nil
+		return ErrorRecord(spec, fmt.Errorf("unknown scenario %q", spec.Scenario)), nil
 	}
 	imp, ok := lab.ImpairmentByName(spec.Impairment)
 	if !ok {
-		return errorRecord(spec, fmt.Errorf("unknown impairment %q", spec.Impairment)), nil
+		return ErrorRecord(spec, fmt.Errorf("unknown impairment %q", spec.Impairment)), nil
 	}
 	bhv, ok := lab.BehaviorByName(spec.Behavior)
 	if !ok {
-		return errorRecord(spec, fmt.Errorf("unknown censor behavior %q", spec.Behavior)), nil
+		return ErrorRecord(spec, fmt.Errorf("unknown censor behavior %q", spec.Behavior)), nil
 	}
 	horizon := cfg.Horizon
 	if horizon <= 0 {
@@ -167,7 +169,7 @@ func ExecuteInstrumented(spec RunSpec, cfg ExecConfig) (RunRecord, []telemetry.E
 	}
 	l, err := lab.New(labCfg)
 	if err != nil {
-		return errorRecord(spec, fmt.Errorf("lab: %w", err)), events()
+		return ErrorRecord(spec, fmt.Errorf("lab: %w", err)), events()
 	}
 	l.StartPopulation(horizon)
 
@@ -176,7 +178,7 @@ func ExecuteInstrumented(spec RunSpec, cfg ExecConfig) (RunRecord, []telemetry.E
 	core.RunWithRetry(l, tech, tgt, cfg.Retry, func(r *core.Result) { res = r })
 	l.Run()
 	if res == nil {
-		return errorRecord(spec, fmt.Errorf("%s never completed", spec.Technique)), events()
+		return ErrorRecord(spec, fmt.Errorf("%s never completed", spec.Technique)), events()
 	}
 
 	risk := core.EvaluateRisk(l, lab.ClientAddr)

@@ -14,124 +14,32 @@ import (
 	"safemeasure/internal/telemetry"
 )
 
-// DefaultGrace is how long RunContext lets in-flight runs keep going after
-// the context is canceled before abandoning them, when Options.Grace is 0.
+// DefaultGrace is how long an in-flight run may keep going after its run
+// context is canceled before the pool abandons it, when Options.Grace is 0.
 const DefaultGrace = 10 * time.Second
 
 // Executor produces the record for one spec. The claim callback reports
 // whether the run still owns its slot: it returns true exactly once, and
 // false forever after the pool has abandoned the run (wall-clock timeout or
-// drain-grace expiry) or a hedged sibling attempt completed first, in which
-// case the executor must not publish any side effects (traces, shared
-// metrics).
+// drain-grace expiry), in which case the executor must not publish any side
+// effects (traces, shared metrics).
 type Executor func(spec RunSpec, horizon time.Duration, claim func() bool) RunRecord
 
-// ErrBudgetExceeded is wrapped into RunContext's returned error when the
-// campaign aborted because its failure budget was spent. The partial records
-// are still returned plan-ordered, so the caller can flush them and print a
-// -resume hint; test with errors.Is.
-var ErrBudgetExceeded = errors.New("campaign: failure budget exceeded")
+// ErrPoolClosed is returned by Pool.Do when the pool has begun shutting
+// down before the spec could be dispatched. A spec that WAS dispatched
+// always yields a record, even through a shutdown (possibly an error record
+// if the drain grace expired).
+var ErrPoolClosed = errors.New("campaign: pool closed")
 
-// DefaultBudgetMinRuns is how many runs must complete before the failure
-// budget is enforced when FailureBudget.MinRuns is 0 — early enough to stop
-// a campaign that is failing wholesale, late enough that one unlucky first
-// run cannot abort everything.
-const DefaultBudgetMinRuns = 8
+// errPoolDraining marks records of specs that were queued when shutdown
+// abandoned the drain — explicit, like breaker skips, so callers can tell
+// "never ran" from "ran and failed".
+var errPoolDraining = errors.New("skipped: pool draining")
 
-// FailureBudget aborts a campaign whose error fraction exceeds what the
-// operator budgeted for. The paper's scaling argument cuts both ways: a
-// campaign grinding through a dead vantage or a tarpitting censor is pure
-// exposure with no measurement value, so past the budget the right move is
-// to stop, flush, and leave a resumable file.
-type FailureBudget struct {
-	// Fraction is the error fraction of completed runs allowed before the
-	// campaign aborts. Breaker skips count toward neither side: a skipped
-	// run spent no budget and took no risk.
-	Fraction float64
-	// MinRuns is how many runs must complete (skips excluded) before the
-	// budget is enforced; 0 means DefaultBudgetMinRuns.
-	MinRuns int
-}
-
-// budgetState tracks completed/errored runs and trips at most once.
-type budgetState struct {
-	mu        sync.Mutex
-	budget    FailureBudget
-	completed int
-	errors    int
-	tripped   bool
-}
-
-// observe folds one executed run in and reports whether this observation
-// tripped the budget (true exactly once).
-func (b *budgetState) observe(failed bool) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.completed++
-	if failed {
-		b.errors++
-	}
-	minRuns := b.budget.MinRuns
-	if minRuns <= 0 {
-		minRuns = DefaultBudgetMinRuns
-	}
-	if b.tripped || b.completed < minRuns {
-		return false
-	}
-	if float64(b.errors)/float64(b.completed) > b.budget.Fraction {
-		b.tripped = true
-		return true
-	}
-	return false
-}
-
-// snapshot returns the counts at (or after) the trip for the error message.
-func (b *budgetState) snapshot() (completed, errs int, tripped bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.completed, b.errors, b.tripped
-}
-
-// DefaultHedgeMinSamples is how many wall-clock latency samples a
-// quantile-derived hedge delay needs before it arms, when
-// HedgeConfig.MinSamples is 0.
-const DefaultHedgeMinSamples = 16
-
-// HedgeConfig enables hedged execution for stragglers: when a run has been
-// in flight longer than the hedge delay, a second attempt of the same spec
-// launches and the first completion wins through the pool's claim gate. The
-// loser's staged telemetry is discarded by the same gate that protects
-// abandoned runs, and because runs are seed-deterministic the two attempts
-// compute identical records — hedging changes tail latency, never results.
-// The zero value disables hedging entirely.
-type HedgeConfig struct {
-	// Delay is a fixed hedge delay; takes precedence over Quantile.
-	Delay time.Duration
-	// Quantile, when Delay is 0, derives the delay from the campaign's live
-	// wall-clock run-latency histogram (e.g. 0.95 hedges past the p95).
-	// Until MinSamples runs have completed there is nothing to derive from
-	// and runs are not hedged.
-	Quantile float64
-	// MinSamples gates the quantile mode; 0 means DefaultHedgeMinSamples.
-	MinSamples int
-}
-
-// enabled reports whether any hedging mode is configured.
-func (h HedgeConfig) enabled() bool { return h.Delay > 0 || h.Quantile > 0 }
-
-// hedgeRuntime is the pool's per-campaign hedging state: a delay oracle and
-// the two counters.
-type hedgeRuntime struct {
-	delay    func() time.Duration // 0 means "do not hedge this run"
-	launched *telemetry.Counter
-	wins     *telemetry.Counter
-}
-
-// DefaultStallFactor sets the stall watchdog threshold to this multiple of
-// the per-run timeout when Options.StallAfter is 0.
-const DefaultStallFactor = 3
-
-// Options parameterizes Run.
+// Options parameterizes a Pool, and Run/RunContext, which feed a plan
+// through one. Budget, StallAfter, StallDump and OnRecord are per-campaign
+// and only RunContext reads them; a Pool returns each record to its
+// submitter instead.
 type Options struct {
 	// Workers bounds concurrency; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -139,10 +47,11 @@ type Options struct {
 	// an error record instead of stalling the campaign. 0 means 60s;
 	// negative disables the timeout.
 	Timeout time.Duration
-	// Grace bounds how long an in-flight run may keep executing after the
-	// context is canceled — or the failure budget aborts the campaign —
-	// before the pool abandons it with an error record. 0 means
-	// DefaultGrace; negative drains fully, however long runs take.
+	// Grace bounds how long an in-flight run may keep executing after its
+	// run context is canceled — a RunContext interrupt or failure-budget
+	// abort, or an expired Pool.Shutdown deadline — before the pool
+	// abandons it with an error record. 0 means DefaultGrace; negative
+	// drains fully, however long runs take.
 	Grace time.Duration
 	// Horizon is the population cover-traffic horizon per run; 0 means
 	// DefaultHorizon.
@@ -161,9 +70,6 @@ type Options struct {
 	// runs drain within Grace, and RunContext returns the plan-ordered
 	// partial records with ErrBudgetExceeded. nil never aborts.
 	Budget *FailureBudget
-	// Hedge enables hedged execution for stragglers; the zero value is off
-	// and byte-identical to the unhedged pool.
-	Hedge HedgeConfig
 	// StallAfter arms the stall watchdog: if no run completes for this
 	// long while the campaign is mid-flight, campaign_watchdog_stalls_total
 	// increments and a goroutine dump is written to StallDump for
@@ -212,16 +118,15 @@ func familyOf(technique string) string {
 	}
 }
 
-// defaultExecutor builds the instrumented executor Run uses when
+// defaultExecutor builds the instrumented executor a Pool uses when
 // Options.Execute is nil: per-run staged metrics, optional tracing, and the
 // claim gate before any shared-state publication.
 func (opts Options) defaultExecutor(guard func(kind string, f func())) Executor {
 	return func(spec RunSpec, horizon time.Duration, claim func() bool) RunRecord {
 		// Hot-path metrics stage in a registry private to this run and
 		// merge into the shared one only if the run still owns its slot:
-		// a goroutine the pool abandoned at the timeout — or a hedged
-		// attempt that lost the race — must not keep bumping campaign-wide
-		// counters from the past.
+		// a goroutine the pool abandoned at the timeout must not keep
+		// bumping campaign-wide counters from the past.
 		var staged *telemetry.Registry
 		if opts.Metrics != nil {
 			staged = telemetry.NewRegistry()
@@ -234,7 +139,7 @@ func (opts Options) defaultExecutor(guard func(kind string, f func())) Executor 
 			Retry:    opts.Retry,
 		})
 		if !claim() {
-			return rec // abandoned or out-hedged: another record went out
+			return rec // abandoned: the pool already sent an error record
 		}
 		opts.Metrics.Merge(staged)
 		if opts.OnTrace != nil {
@@ -251,334 +156,244 @@ func (opts Options) defaultExecutor(guard func(kind string, f func())) Executor 
 	}
 }
 
-// Run shards the plan across a bounded worker pool and returns every record
-// in plan order; it is RunContext without cancellation.
-func Run(plan *Plan, opts Options) ([]RunRecord, error) {
-	return RunContext(context.Background(), plan, opts)
+// Pool is the one campaign dispatcher: a bounded set of workers executing
+// RunSpecs with per-run wall-clock timeout, panic recovery, the
+// abandoned-run claim gate, staged telemetry merged only on claim, and
+// per-cell breakers when configured. Both modes run on it. RunContext feeds
+// a whole plan into a private Pool and drains it; the measured service keeps
+// one Pool for its lifetime, and many submitters share its workers through
+// Do until Shutdown.
+type Pool struct {
+	opts     Options // defaults resolved by NewPool
+	execute  Executor
+	jobs     chan poolJob
+	ctx      context.Context // canceled when a Shutdown deadline expires
+	cancel   context.CancelFunc
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	closed   bool
+	cbErr    error // first recovered callback panic
+	submitWG sync.WaitGroup
+
+	inflight *telemetry.Gauge
+	cbPanics *telemetry.Counter
+	wallHist *telemetry.Histogram
+	virtHist *telemetry.Histogram
 }
 
-// RunContext is Run with a lifecycle: when ctx is canceled the pool stops
-// dispatching, lets in-flight runs drain within Options.Grace (then abandons
-// them with error records, behind the same claim gate as the timeout path),
-// and returns the records of every run that was dispatched — still in plan
-// order — together with ctx.Err(). A tripped failure budget takes the same
-// drain path but returns ErrBudgetExceeded instead. Undispatched specs
-// simply produce no record, which is exactly the shape -resume needs to
-// finish the campaign later. A panic in OnRecord/OnTrace is recovered,
-// counted, and retained as the returned error; the campaign keeps draining
-// either way.
-func RunContext(ctx context.Context, plan *Plan, opts Options) ([]RunRecord, error) {
-	if plan == nil || len(plan.Specs) == 0 {
-		return nil, fmt.Errorf("campaign: empty plan")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(plan.Specs) {
-		workers = len(plan.Specs)
-	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = 60 * time.Second
-	}
-	grace := opts.Grace
-	if grace == 0 {
-		grace = DefaultGrace
-	}
+// poolJob is one submitted spec, the context whose cancellation starts its
+// drain grace once it runs, and the callback the worker hands its record to.
+type poolJob struct {
+	ctx  context.Context
+	spec RunSpec
+	done func(RunSpec, RunRecord)
+}
 
-	// Callback panics are recovered where the callback is invoked, counted,
-	// and the first one is retained as the campaign error: a failing sink
-	// must degrade to a reported error, never to a dead worker silently
-	// stranding the unbuffered spec feed.
-	var cbMu sync.Mutex
-	var cbErr error
-	cbPanics := opts.Metrics.Counter("campaign_callback_panics_total")
-	guard := func(kind string, f func()) {
-		defer func() {
-			if p := recover(); p != nil {
-				cbPanics.Inc()
-				cbMu.Lock()
-				if cbErr == nil {
-					cbErr = fmt.Errorf("campaign: %s callback panicked: %v", kind, p)
-				}
-				cbMu.Unlock()
-			}
-		}()
-		f()
+// NewPool resolves the Options defaults, starts the workers and returns the
+// running pool.
+func NewPool(opts Options) *Pool {
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	execute := opts.Execute
-	if execute == nil {
-		execute = opts.defaultExecutor(guard)
+	if opts.Timeout == 0 {
+		opts.Timeout = 60 * time.Second
 	}
-	opts.Breakers.instrument(opts.Metrics)
-
+	if opts.Grace == 0 {
+		opts.Grace = DefaultGrace
+	}
+	ctx, cancel := context.WithCancel(context.Background())
 	// Pool-level metrics. Every handle is nil-safe, so a nil registry costs
 	// one comparison per use. The wall-clock histogram is the only
 	// nondeterministic metric; the virtual-time one depends only on seeds.
-	queued := opts.Metrics.Gauge("campaign_queue_depth")
-	inflight := opts.Metrics.Gauge("campaign_runs_inflight")
-	var wallHist, virtHist *telemetry.Histogram
+	p := &Pool{
+		opts:     opts,
+		jobs:     make(chan poolJob),
+		ctx:      ctx,
+		cancel:   cancel,
+		inflight: opts.Metrics.Gauge("campaign_runs_inflight"),
+		cbPanics: opts.Metrics.Counter("campaign_callback_panics_total"),
+	}
 	if opts.Metrics != nil {
-		wallHist = opts.Metrics.HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
-		virtHist = opts.Metrics.HistogramBuckets("campaign_run_virtual_ms", 1, 2, 24)
+		p.wallHist = opts.Metrics.HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
+		p.virtHist = opts.Metrics.HistogramBuckets("campaign_run_virtual_ms", 1, 2, 24)
 	}
-	queued.Set(int64(len(plan.Specs)))
+	p.execute = opts.Execute
+	if p.execute == nil {
+		p.execute = opts.defaultExecutor(p.guard)
+	}
+	opts.Breakers.instrument(opts.Metrics)
+	for w := 0; w < opts.Workers; w++ {
+		p.wg.Add(1)
+		go p.worker()
+	}
+	return p
+}
 
-	// Hedging: a quantile-derived delay needs the wall histogram even when
-	// the campaign publishes no metrics, so give it a private one.
-	var hedge *hedgeRuntime
-	if opts.Hedge.enabled() {
-		cfg := opts.Hedge
-		if cfg.Delay <= 0 && wallHist == nil {
-			wallHist = telemetry.NewRegistry().HistogramBuckets("campaign_run_wall_seconds", 1e-3, 2, 24)
-		}
-		minSamples := cfg.MinSamples
-		if minSamples <= 0 {
-			minSamples = DefaultHedgeMinSamples
-		}
-		hist := wallHist
-		hedge = &hedgeRuntime{
-			launched: opts.Metrics.Counter("campaign_hedged_runs_total"),
-			wins:     opts.Metrics.Counter("campaign_hedge_wins_total"),
-			delay: func() time.Duration {
-				if cfg.Delay > 0 {
-					return cfg.Delay
-				}
-				if hist.Count() < int64(minSamples) {
-					return 0
-				}
-				d := time.Duration(hist.Quantile(cfg.Quantile) * float64(time.Second))
-				if d < time.Millisecond {
-					d = time.Millisecond
-				}
-				return d
-			},
-		}
-	}
+// Workers returns the pool's concurrency bound.
+func (p *Pool) Workers() int { return p.opts.Workers }
 
-	// The failure budget aborts through a context derived from the caller's:
-	// dispatch and the drain-grace machinery see one cancellation signal
-	// whether the user interrupted or the budget tripped; the two cases are
-	// told apart after the pool drains.
-	runCtx, abort := context.WithCancel(ctx)
-	defer abort()
-	var budget *budgetState
-	budgetTrips := opts.Metrics.Counter("campaign_budget_aborts_total")
-	if opts.Budget != nil {
-		budget = &budgetState{budget: *opts.Budget}
-	}
-
-	// Stall watchdog: fires when no record has completed for stallAfter
-	// while the campaign is still mid-flight — the signature of every worker
-	// wedged at once (or a deadlock this layer introduced), which per-run
-	// timeouts alone cannot distinguish from slow progress.
-	stallAfter := opts.StallAfter
-	if stallAfter == 0 && timeout > 0 {
-		stallAfter = DefaultStallFactor * timeout
-	}
-	var lastDone atomic.Int64
-	lastDone.Store(time.Now().UnixNano())
-	if stallAfter > 0 {
-		stalls := opts.Metrics.Counter("campaign_watchdog_stalls_total")
-		stop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			period := stallAfter / 8
-			if period < 5*time.Millisecond {
-				period = 5 * time.Millisecond
-			}
-			tick := time.NewTicker(period)
-			defer tick.Stop()
-			fired := false
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-				}
-				idle := time.Since(time.Unix(0, lastDone.Load()))
-				if idle < stallAfter {
-					fired = false // progress resumed: re-arm for the next episode
-					continue
-				}
-				if fired {
-					continue // one report per stall episode
-				}
-				fired = true
-				stalls.Inc()
-				if opts.StallDump != nil {
-					fmt.Fprintf(opts.StallDump,
-						"campaign: watchdog: no run completed for %v (threshold %v); goroutine dump:\n",
-						idle.Round(time.Millisecond), stallAfter)
-					_, _ = telemetry.GoroutineDump(opts.StallDump)
-				}
-			}
-		}()
-		// The watchdog must be fully stopped before RunContext returns so a
-		// caller-owned StallDump writer is never written to after return.
-		defer func() { close(stop); <-watchDone }()
-	}
-
-	records := make([]RunRecord, len(plan.Specs))
-	specs := make(chan RunSpec)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for spec := range specs {
-				queued.Add(-1)
-				var rec RunRecord
-				allow, probe := opts.Breakers.Allow(spec)
-				if !allow {
-					// Skipped by an open breaker: an explicit error record
-					// with no execution, so the sink, aggregates, and a
-					// later -resume all see exactly which runs were shed.
-					rec = errorRecord(spec, errBreakerOpen)
-				} else {
-					inflight.Add(1)
-					start := time.Now()
-					rec = runGuarded(runCtx, spec, execute, opts.Horizon, timeout, grace, hedge)
-					wallHist.Observe(time.Since(start).Seconds())
-					inflight.Add(-1)
-					opts.Breakers.Record(spec, rec.Error != "", probe)
-					if budget != nil && budget.observe(rec.Error != "") {
-						budgetTrips.Inc()
-						abort()
-					}
-				}
-				lastDone.Store(time.Now().UnixNano())
-				accountRun(opts.Metrics, spec, rec, virtHist)
-				records[spec.Index] = rec
-				if opts.OnRecord != nil {
-					guard("OnRecord", func() { opts.OnRecord(rec) })
-				}
-			}
-		}()
-	}
-	// Dispatch until the plan is exhausted or the run context cancels
-	// (caller interrupt or budget abort); specs already handed to a worker
-	// always produce a record (dispatched is written only here, before
-	// close, and read only after wg.Wait).
-	dispatched := make([]bool, len(plan.Specs))
-	ndispatched := 0
-dispatch:
-	for _, spec := range plan.Specs {
-		// The explicit Err check first: a select with a ready worker AND a
-		// canceled context picks randomly, which would leak specs into a
-		// campaign that already asked to stop.
-		if runCtx.Err() != nil {
-			break
+// worker executes jobs until the jobs channel closes at Shutdown.
+func (p *Pool) worker() {
+	defer p.wg.Done()
+	for job := range p.jobs {
+		var rec RunRecord
+		allow, probe := p.opts.Breakers.Allow(job.spec)
+		switch {
+		case p.ctx.Err() != nil:
+			// Shutdown abandoned the drain: fast-fail whatever is still
+			// queued instead of burning the grace per job.
+			rec = ErrorRecord(job.spec, errPoolDraining)
+		case !allow:
+			// Skipped by an open breaker: an explicit error record with no
+			// execution, so the sink, aggregates, and a later -resume all
+			// see exactly which runs were shed.
+			rec = ErrorRecord(job.spec, errBreakerOpen)
+		default:
+			p.inflight.Add(1)
+			start := time.Now()
+			rec = runGuarded(job.ctx, job.spec, p.execute, p.opts.Horizon, p.opts.Timeout, p.opts.Grace)
+			p.wallHist.Observe(time.Since(start).Seconds())
+			p.inflight.Add(-1)
+			p.opts.Breakers.Record(job.spec, rec.Error != "", probe)
 		}
+		accountRun(p.opts.Metrics, job.spec, rec, p.virtHist)
+		job.done(job.spec, rec)
+	}
+}
+
+// submit hands one job to a worker, blocking until one is free. It returns
+// ctx's error or ErrPoolClosed, without dispatching, when either ends first.
+func (p *Pool) submit(ctx context.Context, job poolJob) error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrPoolClosed
+	}
+	// Registered before the send so Shutdown cannot close the jobs channel
+	// out from under a blocked sender.
+	p.submitWG.Add(1)
+	p.mu.Unlock()
+	defer p.submitWG.Done()
+	// The explicit checks first: a select with an idle worker AND a done
+	// context picks randomly, which would dispatch a spec whose submitter
+	// already gave up.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if p.ctx.Err() != nil {
+		return ErrPoolClosed
+	}
+	select {
+	case p.jobs <- job:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-p.ctx.Done():
+		return ErrPoolClosed
+	}
+}
+
+// Do executes one spec on the pool and returns its record. It blocks until
+// a worker is free, the run completes, ctx is canceled, or the pool shuts
+// down; ctx cancellation only aborts the wait for a worker — once the spec
+// is dispatched the run completes regardless (its record is still returned),
+// so shared consumers like a result cache never lose work a client paid for.
+func (p *Pool) Do(ctx context.Context, spec RunSpec) (RunRecord, error) {
+	done := make(chan RunRecord, 1) // the worker's send never blocks
+	err := p.submit(ctx, poolJob{ctx: p.ctx, spec: spec,
+		done: func(_ RunSpec, rec RunRecord) { done <- rec }})
+	if err != nil {
+		return RunRecord{}, err
+	}
+	return <-done, nil
+}
+
+// Shutdown stops admitting new specs and drains: queued and in-flight runs
+// complete normally while ctx lasts. When ctx expires first, in-flight runs
+// are abandoned through the claim gate after the pool grace (their
+// submitters get explicit error records, never silence) and ctx's error is
+// returned — so a nil return is the "clean drain, nothing abandoned"
+// signal the service smoke test asserts on.
+func (p *Pool) Shutdown(ctx context.Context) error {
+	p.mu.Lock()
+	already := p.closed
+	p.closed = true
+	p.mu.Unlock()
+	if !already {
+		// In-flight submits either complete their send (a worker takes the
+		// job) or bail via ctx/pool cancellation; either way submitWG drains
+		// and the channel close below cannot race a send. If ctx expires
+		// while senders are still parked behind busy workers, cancel the
+		// pool so they bail with ErrPoolClosed instead of pinning Shutdown.
+		waited := make(chan struct{})
+		go func() { p.submitWG.Wait(); close(waited) }()
 		select {
-		case specs <- spec:
-			dispatched[spec.Index] = true
-			ndispatched++
-		case <-runCtx.Done():
-			break dispatch
+		case <-waited:
+		case <-ctx.Done():
+			p.cancel()
+			<-waited
 		}
+		close(p.jobs)
 	}
-	close(specs)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { p.wg.Wait(); close(done) }()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		p.cancel() // abandon in-flight runs after the pool grace
+		<-done
+		return fmt.Errorf("campaign: pool shutdown: %w", ctx.Err())
+	}
+}
 
-	cbMu.Lock()
-	err := cbErr
-	cbMu.Unlock()
-	partialOf := func() []RunRecord {
-		queued.Set(0) // undispatched specs are no longer pending
-		partial := make([]RunRecord, 0, ndispatched)
-		for i, rec := range records {
-			if dispatched[i] {
-				partial = append(partial, rec)
+// guard runs a caller-supplied callback. A panic is recovered, counted, and
+// the first one retained for callbackErr: a failing sink must degrade to a
+// reported error, never to a dead worker silently stranding the spec feed.
+func (p *Pool) guard(kind string, f func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.cbPanics.Inc()
+			p.mu.Lock()
+			if p.cbErr == nil {
+				p.cbErr = fmt.Errorf("campaign: %s callback panicked: %v", kind, r)
 			}
+			p.mu.Unlock()
 		}
-		return partial
-	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		if m := opts.Metrics; m != nil {
-			m.Counter("campaign_cancel_total").Inc()
-			m.Counter("campaign_canceled_specs_total").Add(int64(len(plan.Specs) - ndispatched))
-		}
-		return partialOf(), errors.Join(ctxErr, err)
-	}
-	if budget != nil {
-		if completed, errs, tripped := budget.snapshot(); tripped {
-			return partialOf(), errors.Join(fmt.Errorf(
-				"%w: %d of %d completed runs errored (budget %.3f); undispatched runs left for -resume",
-				ErrBudgetExceeded, errs, completed, opts.Budget.Fraction), err)
-		}
-	}
-	return records, err
+	}()
+	f()
 }
 
-// attemptOut is one execution attempt's result, tagged with the attempt id
-// so runGuarded can tell a hedge winner from a loser.
-type attemptOut struct {
-	rec RunRecord
-	id  int32
+// callbackErr returns the first callback panic guard recovered, if any.
+func (p *Pool) callbackErr() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cbErr
 }
-
-// poolAttempt is the claim id runGuarded uses when IT claims a run — at the
-// timeout or the drain-grace expiry — rather than any executing attempt.
-const poolAttempt int32 = -1
 
 // runGuarded executes one spec with panic recovery, a wall-clock timeout,
-// cancellation-with-grace, and optional hedging. Each attempt proceeds in a
-// fresh goroutine so a wedged simulator cannot occupy a worker forever; on
-// timeout — or on context cancel once the drain grace expires — the
-// goroutines are abandoned. When a hedge is armed and the first attempt is
-// still in flight past the hedge delay, a second attempt of the same spec
-// launches; all attempts and the abandon path share one claim token, so
-// exactly one side owns the outcome: the claiming attempt's record is
-// returned and every loser's staged telemetry is discarded by the gate it
-// failed. The wall-clock timeout spans the whole run, hedged or not.
+// and cancellation-with-grace. The run proceeds in a fresh goroutine so a
+// wedged simulator cannot occupy a worker forever; on timeout — or on ctx
+// cancel once the drain grace expires — the goroutine is abandoned. The run
+// and the abandon path share one claim token, so exactly one side owns the
+// outcome: if the pool claims, its error record is returned and the run's
+// staged telemetry is discarded by the gate it failed; if the run claimed
+// first, its record is awaited and returned.
 func runGuarded(ctx context.Context, spec RunSpec, execute Executor,
-	horizon, timeout, grace time.Duration, hedge *hedgeRuntime) RunRecord {
+	horizon, timeout, grace time.Duration) RunRecord {
 	var claimed atomic.Bool
-	var winner atomic.Int32
-	claimFor := func(id int32) func() bool {
-		return func() bool {
-			if claimed.CompareAndSwap(false, true) {
-				winner.Store(id)
-				return true
+	claim := func() bool { return claimed.CompareAndSwap(false, true) }
+	done := make(chan RunRecord, 1) // buffered: an abandoned run sends and exits, never leaks
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				// The buffered send cannot block: a panic means the normal
+				// send never happened.
+				done <- ErrorRecord(spec, fmt.Errorf("panic: %v", p))
 			}
-			return false
-		}
-	}
-	done := make(chan attemptOut, 2) // buffered: losers send and exit, never leak
-	launch := func(id int32) {
-		claim := claimFor(id)
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					// The buffered send cannot block: a panic means the
-					// normal send never happened. A panicking attempt does
-					// not claim, mirroring the unhedged pool: if nobody else
-					// owns the run, its error record is what gets returned.
-					done <- attemptOut{errorRecord(spec, fmt.Errorf("panic: %v", p)), id}
-				}
-			}()
-			done <- attemptOut{execute(spec, horizon, claim), id}
 		}()
-	}
-	launch(0)
-	pending := 1
-	poolClaim := claimFor(poolAttempt)
-
-	// awaitWinner drains attempt results until the claiming attempt's
-	// record arrives — the pool lost the claim race, so some attempt owns
-	// the outcome and its send is guaranteed (claim happens inside the
-	// attempt before it returns or panics).
-	awaitWinner := func() RunRecord {
-		for {
-			out := <-done
-			if out.id == winner.Load() {
-				return out.rec
-			}
-		}
-	}
+		done <- execute(spec, horizon, claim)
+	}()
 
 	var timeoutC <-chan time.Time
 	if timeout >= 0 {
@@ -586,48 +401,19 @@ func runGuarded(ctx context.Context, spec RunSpec, execute Executor,
 		defer timer.Stop()
 		timeoutC = timer.C
 	}
-	var hedgeC <-chan time.Time
-	if hedge != nil {
-		if d := hedge.delay(); d > 0 {
-			hedgeTimer := time.NewTimer(d)
-			defer hedgeTimer.Stop()
-			hedgeC = hedgeTimer.C
-		}
-	}
 	ctxDone := ctx.Done()
 	var graceC <-chan time.Time
 	for {
 		select {
-		case out := <-done:
-			pending--
-			if claimed.Load() {
-				if out.id != winner.Load() {
-					continue // a loser finished first; the winner's send is coming
-				}
-				if out.id > 0 {
-					hedge.wins.Inc()
-				}
-				return out.rec
-			}
-			// Nobody claimed (the attempt panicked before claiming, or the
-			// executor never called claim). With another attempt still in
-			// flight, wait for it; otherwise this record is the outcome,
-			// exactly as in the unhedged pool.
-			if pending == 0 {
-				return out.rec
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hedge.launched.Inc()
-			launch(1)
-			pending++
+		case rec := <-done:
+			return rec
 		case <-timeoutC:
-			if poolClaim() {
-				return errorRecord(spec, fmt.Errorf("run exceeded %v wall-clock timeout", timeout))
+			if claim() {
+				return ErrorRecord(spec, fmt.Errorf("run exceeded %v wall-clock timeout", timeout))
 			}
-			// An attempt claimed completion between the timer firing and our
+			// The run claimed completion between the timer firing and our
 			// claim attempt; its side effects are published, take its record.
-			return awaitWinner()
+			return <-done
 		case <-ctxDone:
 			// Canceled: give the run the drain grace, then abandon it. A
 			// negative grace drains fully (no deadline beyond the timeout).
@@ -638,11 +424,33 @@ func runGuarded(ctx context.Context, spec RunSpec, execute Executor,
 				graceC = graceTimer.C
 			}
 		case <-graceC:
-			if poolClaim() {
-				return errorRecord(spec, fmt.Errorf(
+			if claim() {
+				return ErrorRecord(spec, fmt.Errorf(
 					"campaign canceled: run abandoned after %v drain grace", grace))
 			}
-			return awaitWinner()
+			return <-done
 		}
+	}
+}
+
+// accountRun publishes the shared per-run campaign counters for one
+// completed record, so service-mode metrics stay comparable with batch-mode
+// ones.
+func accountRun(m *telemetry.Registry, spec RunSpec, rec RunRecord, virtHist *telemetry.Histogram) {
+	if m == nil {
+		return
+	}
+	fam := familyOf(spec.Technique)
+	m.Counter(telemetry.Labels("campaign_runs_total", "family", fam)).Inc()
+	if rec.Error != "" {
+		m.Counter("campaign_errors_total").Inc()
+		return
+	}
+	virtHist.Observe(rec.ElapsedMS)
+	if rec.Correct {
+		m.Counter(telemetry.Labels("campaign_correct_total", "family", fam)).Inc()
+	}
+	if rec.Verdict == "inconclusive" {
+		m.Counter(telemetry.Labels("campaign_inconclusive_total", "family", fam)).Inc()
 	}
 }

@@ -154,60 +154,6 @@ func TestBreakerSkipRecordsResume(t *testing.T) {
 	}
 }
 
-func TestHedgedCampaignByteIdentical(t *testing.T) {
-	// Hedging must change tail latency only, never results: a 1ns delay
-	// hedges essentially every run, and the sorted records must still be
-	// byte-identical to the unhedged campaign because both attempts compute
-	// the same seed-deterministic record and only one wins the claim gate.
-	base, err := Run(smallPlan(t, 31), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	hedged, err := Run(smallPlan(t, 31), Options{
-		Workers: 2,
-		Metrics: reg,
-		Hedge:   HedgeConfig{Delay: time.Nanosecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sortedJSONL(t, hedged) != sortedJSONL(t, base) {
-		t.Fatalf("hedging changed campaign results:\n--- base ---\n%s\n--- hedged ---\n%s",
-			sortedJSONL(t, base), sortedJSONL(t, hedged))
-	}
-	launched := reg.Counter("campaign_hedged_runs_total").Value()
-	if launched == 0 {
-		t.Fatal("1ns hedge delay never launched a hedge attempt")
-	}
-	if wins := reg.Counter("campaign_hedge_wins_total").Value(); wins > launched {
-		t.Fatalf("hedge wins %d exceed launches %d", wins, launched)
-	}
-}
-
-func TestHedgeQuantileWaitsForSamples(t *testing.T) {
-	// Quantile mode has nothing to derive a delay from until MinSamples runs
-	// have completed; with MinSamples above the plan size it must behave
-	// exactly like the unhedged pool.
-	reg := telemetry.NewRegistry()
-	recs, err := Run(smallPlan(t, 32), Options{
-		Workers: 2,
-		Metrics: reg,
-		Hedge:   HedgeConfig{Quantile: 0.95, MinSamples: 1000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if rec.Error != "" {
-			t.Fatalf("run failed: %+v", rec)
-		}
-	}
-	if got := reg.Counter("campaign_hedged_runs_total").Value(); got != 0 {
-		t.Fatalf("hedges launched before the sample gate: %d", got)
-	}
-}
-
 func TestWatchdogFiresOnStall(t *testing.T) {
 	p := smallPlan(t, 33).Filter(func(s RunSpec) bool { return s.Index == 0 })
 	reg := telemetry.NewRegistry()

@@ -103,37 +103,3 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestHedgedFaultyCampaignResumeInvariant folds hedging into the chaos
-// harness: hedge attempts change which executor call a seeded panic lands on,
-// but the claim gate and seed-determinism mean every error-free record is
-// still byte-identical to the unfaulted baseline, and resume completes the
-// rest.
-func TestHedgedFaultyCampaignResumeInvariant(t *testing.T) {
-	plan := supervisedPlan(t)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSONL, wantAgg := canonicalize(t, baseRecs)
-
-	for _, workers := range []int{1, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var buf bytes.Buffer
-			sink := campaign.NewJSONLSink(&buf)
-			if _, err := campaign.Run(plan, campaign.Options{
-				Workers:  workers,
-				Hedge:    campaign.HedgeConfig{Delay: time.Millisecond},
-				OnRecord: sink.Write,
-				Execute:  PanicEvery(3, nil),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
-		})
-	}
-}

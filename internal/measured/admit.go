@@ -251,7 +251,7 @@ func (s *Service) execFlight(fl *flight) {
 	defer func() { <-s.sem }()
 	rec, err := s.pool.Do(context.Background(), fl.spec)
 	if err != nil {
-		rec = drainRecord(fl.spec, err)
+		rec = campaign.ErrorRecord(fl.spec, err)
 	}
 	s.complete(fl, rec)
 }
@@ -280,17 +280,10 @@ func (s *Service) complete(fl *flight, rec campaign.RunRecord) {
 		if rec.Error != "" {
 			s.budgetErrors++
 		}
-		if b := s.cfg.Budget; b != nil && !s.degraded {
-			minRuns := b.MinRuns
-			if minRuns <= 0 {
-				minRuns = campaign.DefaultBudgetMinRuns
-			}
-			if s.budgetCompleted >= minRuns &&
-				float64(s.budgetErrors)/float64(s.budgetCompleted) > b.Fraction {
-				s.degraded = true
-				s.degradedG.Set(1)
-				s.budgetTrips.Inc()
-			}
+		if b := s.cfg.Budget; b != nil && !s.degraded && b.Exceeded(s.budgetCompleted, s.budgetErrors) {
+			s.degraded = true
+			s.degradedG.Set(1)
+			s.budgetTrips.Inc()
 		}
 	}
 	s.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"safemeasure/internal/campaign"
 	"safemeasure/internal/telemetry"
 )
 
@@ -110,13 +111,13 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	s1 := trialSpec(1)
 	s2 := trialSpec(2)
 	s3 := trialSpec(3)
-	c.put(s1.CellKey(), []byte("1\n"), drainRecord(s1, ErrDraining))
-	c.put(s2.CellKey(), []byte("2\n"), drainRecord(s2, ErrDraining))
+	c.put(s1.CellKey(), []byte("1\n"), campaign.ErrorRecord(s1, ErrDraining))
+	c.put(s2.CellKey(), []byte("2\n"), campaign.ErrorRecord(s2, ErrDraining))
 	if _, ok := c.get(s1.CellKey()); !ok {
 		t.Fatal("s1 evicted too early")
 	}
 	// s2 is now LRU; inserting s3 evicts it.
-	c.put(s3.CellKey(), []byte("3\n"), drainRecord(s3, ErrDraining))
+	c.put(s3.CellKey(), []byte("3\n"), campaign.ErrorRecord(s3, ErrDraining))
 	if _, ok := c.get(s2.CellKey()); ok {
 		t.Fatal("LRU entry not evicted")
 	}
@@ -136,7 +137,7 @@ func TestResultCacheNonPositiveBoundClamped(t *testing.T) {
 	for _, max := range []int{0, -1, -100} {
 		c := newResultCache(max)
 		s1 := trialSpec(1)
-		c.put(s1.CellKey(), []byte("1\n"), drainRecord(s1, ErrDraining))
+		c.put(s1.CellKey(), []byte("1\n"), campaign.ErrorRecord(s1, ErrDraining))
 		if _, ok := c.get(s1.CellKey()); !ok {
 			t.Fatalf("newResultCache(%d): entry evicted on insert", max)
 		}
@@ -145,7 +146,7 @@ func TestResultCacheNonPositiveBoundClamped(t *testing.T) {
 		}
 		// The clamped bound still evicts: a second insert displaces the first.
 		s2 := trialSpec(2)
-		c.put(s2.CellKey(), []byte("2\n"), drainRecord(s2, ErrDraining))
+		c.put(s2.CellKey(), []byte("2\n"), campaign.ErrorRecord(s2, ErrDraining))
 		if _, ok := c.get(s1.CellKey()); ok {
 			t.Fatalf("newResultCache(%d): bound not enforced after clamp", max)
 		}

@@ -224,7 +224,7 @@ func New(cfg Config) *Service {
 	if cfg.Breaker != (campaign.BreakerConfig{}) {
 		breakers = campaign.NewBreakerSet(cfg.Breaker)
 	}
-	pool := campaign.NewPool(campaign.PoolConfig{
+	pool := campaign.NewPool(campaign.Options{
 		Workers:  cfg.Workers,
 		Timeout:  cfg.Timeout,
 		Grace:    cfg.Grace,
@@ -483,7 +483,7 @@ wait:
 		// Fail whatever never left the client queues explicitly, so joined
 		// waiters see a record instead of blocking forever.
 		for fl := s.nextFlight(); fl != nil; fl = s.nextFlight() {
-			s.complete(fl, drainRecord(fl.spec, ErrDraining))
+			s.complete(fl, campaign.ErrorRecord(fl.spec, ErrDraining))
 		}
 	}
 	if err := s.pool.Shutdown(ctx); err != nil {
@@ -493,22 +493,4 @@ wait:
 		return fmt.Errorf("measured: drain incomplete: %w", drainErr)
 	}
 	return nil
-}
-
-// drainRecord fills an explicit error record for a run the shutdown path
-// could not execute.
-func drainRecord(spec campaign.RunSpec, err error) campaign.RunRecord {
-	imp := spec.Impairment
-	if imp == lab.ImpairmentNone {
-		imp = ""
-	}
-	bhv := spec.Behavior
-	if bhv == lab.BehaviorNone {
-		bhv = ""
-	}
-	rec := campaign.RunRecord{Scenario: spec.Scenario, Impairment: imp,
-		Behavior: bhv, Trial: spec.Trial, Error: err.Error()}
-	rec.Technique = spec.Technique
-	rec.Seed = spec.Seed
-	return rec
 }

@@ -147,6 +147,20 @@ test -s "$tmp/smoke.jsonl"
 # 1 scenario x 3 techniques x 500 trials = 1500 records, every line valid JSON
 test "$(wc -l < "$tmp/smoke.jsonl")" -eq 1500
 
+# Budget-abort-then-resume smoke: a 1ns per-run timeout fails every run, so
+# the failure budget must abort the real process with exit 3 and a
+# resumable partial file; -resume with a sane timeout then re-runs the error
+# records and the rest of the plan, leaving exactly one error-free line per
+# planned run (the superseded error lines stay in the file).
+rc=0
+"$tmp/campaign" -scenarios dns-poison -trials 50 -workers 2 -timeout 1ns \
+  -fail-budget 0.5 -out "$tmp/budget.jsonl" > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 3
+"$tmp/campaign" -resume -scenarios dns-poison -trials 50 -workers 2 \
+  -out "$tmp/budget.jsonl" > /dev/null
+test "$(grep -v '"error"' "$tmp/budget.jsonl" | LC_ALL=C sort -u | wc -l)" -eq 150
+test "$(grep -vc '"error"' "$tmp/budget.jsonl")" -eq 150
+
 # Censor-behavior determinism smoke: a campaign sweeping every adversarial
 # behavior preset must produce byte-identical sorted records at workers 1
 # and 8 — the end-to-end form of the behavior-state-is-seed-derived claim.
