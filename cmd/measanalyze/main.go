@@ -1,19 +1,20 @@
-// Command measanalyze analyzes campaign output at archive scale: it streams
-// record files, flat observation files (JSONL or binary), and live files a
-// campaign is still appending to, in bounded memory regardless of input
-// size.
+// Command measanalyze analyzes campaign archives at scale: it streams flat
+// observation files (JSONL or binary, as campaign -out and safemeasured
+// -archive write them), including live files a campaign is still appending
+// to, in bounded memory regardless of input size.
 //
 // Usage:
 //
 //	measanalyze summarize results.jsonl           # per-axis marginals
-//	measanalyze compare baseline.jsonl candidate.jsonl
+//	measanalyze compare baseline.jsonl candidate.bin
 //	measanalyze filter -type verdict -technique spam archive.bin
 //	measanalyze export -o rows.csv archive.bin    # CSV for spreadsheet tools
 //	measanalyze convert -o archive.bin results.jsonl
 //
-// Every subcommand accepts any of the three input shapes and sniffs which
-// one it got: the binary magic, observation JSONL (rows with "run" and
-// "type" keys), or campaign record JSONL (flattened on the fly). A torn
+// Every subcommand sniffs the encoding from the first bytes (the binary
+// magic, else JSONL). summarize and compare fold rows back into run records
+// with campaign.ReadRecords, so a run that a resumed campaign re-ran counts
+// once: its error-free record wins over its earlier error records. A torn
 // trailing record — the normal state of a file a live campaign is appending
 // to, or of a writer killed mid-record — is skipped and counted on stderr
 // rather than treated as an error; -strict makes it fatal.
@@ -33,8 +34,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -93,37 +92,10 @@ func main() {
 	}
 }
 
-// inputKind is what a sniffed file turned out to hold.
-type inputKind int
-
-const (
-	kindObservations inputKind = iota // flat rows, JSONL or binary
-	kindRecords                       // campaign RunRecord JSONL
-)
-
-// classify sniffs the input shape from its first bytes: the binary magic,
-// or — for JSONL — whether the first line is a flat observation row (always
-// carries "run" and "type" keys) or a campaign record (carries neither).
-func classify(head []byte) inputKind {
-	if bytes.HasPrefix(head, []byte(archival.Magic)) {
-		return kindObservations
-	}
-	line := head
-	if i := bytes.IndexByte(head, '\n'); i >= 0 {
-		line = head[:i]
-	}
-	if bytes.Contains(line, []byte(`"run":`)) && bytes.Contains(line, []byte(`"type":`)) {
-		return kindObservations
-	}
-	return kindRecords
-}
-
-// input is one opened, sniffed file.
+// input is one opened file.
 type input struct {
 	path string
 	f    *os.File
-	br   *bufio.Reader
-	kind inputKind
 }
 
 func openInput(path string) (*input, error) {
@@ -131,16 +103,19 @@ func openInput(path string) (*input, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	head, err := br.Peek(4096)
-	if err != nil && err != io.EOF {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &input{path: path, f: f, br: br, kind: classify(head)}, nil
+	return &input{path: path, f: f}, nil
 }
 
 func (in *input) Close() error { return in.f.Close() }
+
+// reader opens the input's observation stream.
+func (in *input) reader(tail archival.TailPolicy) (*archival.Reader, error) {
+	r, err := archival.NewReader(in.f, tail, warnTorn(in.path))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", in.path, err)
+	}
+	return r, nil
+}
 
 // tailFlag converts the -strict flag to a tail policy.
 func tailFlag(strict bool) archival.TailPolicy {
@@ -161,27 +136,12 @@ func warnTorn(path string) func(line int, err error) {
 	}
 }
 
-// forEachObservation streams every observation in the input: flat files
-// yield their rows directly, record files are flattened on the fly. Memory
-// is bounded by one row (or one record's rows) at a time.
+// forEachObservation streams every observation in the input, one row at a
+// time.
 func forEachObservation(in *input, tail archival.TailPolicy, fn func(archival.Observation) error) error {
-	if in.kind == kindRecords {
-		_, err := archival.DecodeJSONL(in.br, tail, warnTorn(in.path), func(rec campaign.RunRecord) error {
-			for _, o := range campaign.FlattenRecord(rec) {
-				if err := fn(o); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", in.path, err)
-		}
-		return nil
-	}
-	r, err := archival.NewReader(in.br, tail, warnTorn(in.path))
+	r, err := in.reader(tail)
 	if err != nil {
-		return fmt.Errorf("%s: %w", in.path, err)
+		return err
 	}
 	for {
 		o, err := r.Next()
@@ -197,54 +157,17 @@ func forEachObservation(in *input, tail archival.TailPolicy, fn func(archival.Ob
 	}
 }
 
-// isRecordRow reports whether an observation type carries record state (as
-// opposed to trace/packet rows, which ride alongside and reconstruct through
-// their own paths).
-func isRecordRow(typ string) bool {
-	return typ != archival.TypeTrace && typ != archival.TypePacket
-}
-
-// forEachRecord streams every run record in the input: record files decode
-// directly; observation files are regrouped by run contiguity (archives
-// write each run's rows as one contiguous batch) and unflattened. Groups
-// holding only trace or packet rows are not records and are skipped.
+// forEachRecord streams every run record in the input through the shared
+// campaign.ReadRecords reader.
 func forEachRecord(in *input, tail archival.TailPolicy, fn func(campaign.RunRecord) error) error {
-	if in.kind == kindRecords {
-		_, err := archival.DecodeJSONL(in.br, tail, warnTorn(in.path), fn)
-		if err != nil {
-			return fmt.Errorf("%s: %w", in.path, err)
-		}
-		return nil
-	}
-	var batch []archival.Observation
-	hasRecordRows := false
-	flush := func() error {
-		defer func() { batch, hasRecordRows = batch[:0], false }()
-		if !hasRecordRows {
-			return nil
-		}
-		rec, err := campaign.UnflattenRecord(batch)
-		if err != nil {
-			return fmt.Errorf("%s: %w", in.path, err)
-		}
-		return fn(rec)
-	}
-	err := forEachObservation(in, tail, func(o archival.Observation) error {
-		if len(batch) > 0 && o.Run != batch[0].Run {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		batch = append(batch, o)
-		if isRecordRow(o.Type) {
-			hasRecordRows = true
-		}
-		return nil
-	})
+	r, err := in.reader(tail)
 	if err != nil {
 		return err
 	}
-	return flush()
+	if err := campaign.ReadRecords(r, fn); err != nil {
+		return fmt.Errorf("%s: %w", in.path, err)
+	}
+	return nil
 }
 
 // cellKey orders cells the same way campaign summaries do.

@@ -17,10 +17,9 @@
 //     field-presence bitmap and varint integers — several times smaller and
 //     faster to decode than JSONL at millions-of-records scale.
 //
-// The package also hosts the ONE shared JSONL reader/writer implementation
-// (Sink, DecodeJSONL) that the campaign sink, the resume reader, and the
-// measured service stream all build on, so torn-trailing-line tolerance
-// lives in exactly one place.
+// The package also hosts the one writer (Sink) both encodings share, and
+// the repair steps every appender runs before it appends: Repair cuts a torn
+// trailing row, CutLastGroup a possibly partial final run batch.
 package archival
 
 import (
@@ -73,6 +72,39 @@ const (
 	// parsable, Count the datagram length in bytes.
 	TypePacket = "packet"
 )
+
+// batchOrder lists row types in the order one run's batch carries them:
+// capture packets or trace events first, then the record rows in the order
+// campaign.FlattenRecord emits them.
+var batchOrder = [...]string{TypePacket, TypeTrace, TypeVerdict, TypeTruth, TypeStealth,
+	TypeAttempt, TypeProbe, TypeCover, TypeCoverAddr, TypeEvidence, TypeRisk,
+	TypeAttribution, TypeError}
+
+// batchRank is typ's position in batchOrder, or -1 for an unknown type.
+func batchRank(typ string) int {
+	for i := range batchOrder {
+		if batchOrder[i] == typ {
+			return i
+		}
+	}
+	return -1
+}
+
+// ContinuesBatch reports whether row o can follow row prev inside one run's
+// batch: same Run, and later in batch order — a later type, or the same
+// type at a higher Seq. Writers append each run's rows as one batch in that
+// order, so a row that fails the test starts a new batch even when its Run
+// repeats the previous row's: a resumed campaign that re-runs a failed run
+// can append its record right after the run's error record.
+func ContinuesBatch(prev, o *Observation) bool {
+	if o.Run != prev.Run {
+		return false
+	}
+	if o.Type == prev.Type {
+		return o.Seq > prev.Seq
+	}
+	return batchRank(o.Type) > batchRank(prev.Type)
+}
 
 // Observation is one flat archival row. The identity columns (Run,
 // Technique, Scenario, Impairment, Trial, Seed) repeat on every row so each

@@ -323,37 +323,6 @@ func TestReaderToleratesTornBinaryTail(t *testing.T) {
 	}
 }
 
-func TestDecodeJSONLResumeSemantics(t *testing.T) {
-	type rec struct {
-		A int `json:"a"`
-	}
-	// Clean stream.
-	recs, truncAt, err := ReadAllJSONL[rec](strings.NewReader("{\"a\":1}\n{\"a\":2}\n"), TailTolerate, nil)
-	if err != nil || truncAt != -1 || len(recs) != 2 {
-		t.Fatalf("clean: recs=%v truncAt=%d err=%v", recs, truncAt, err)
-	}
-	// Torn tail: offset points at the start of the bad line.
-	warned := 0
-	recs, truncAt, err = ReadAllJSONL[rec](strings.NewReader("{\"a\":1}\n{\"a\":"), TailTolerate,
-		func(line int, err error) {
-			warned++
-			if line != 2 {
-				t.Fatalf("warn line = %d, want 2", line)
-			}
-		})
-	if err != nil || len(recs) != 1 || truncAt != 8 || warned != 1 {
-		t.Fatalf("torn: recs=%v truncAt=%d warned=%d err=%v", recs, truncAt, warned, err)
-	}
-	// Mid-stream corruption errors even under TailTolerate.
-	if _, _, err = ReadAllJSONL[rec](strings.NewReader("{\"a\":\nok\n"), TailTolerate, nil); err == nil {
-		t.Fatal("mid-stream corruption accepted")
-	}
-	// Strict mode rejects the torn tail outright.
-	if _, _, err = ReadAllJSONL[rec](strings.NewReader("{\"a\":1}\n{\"a\":"), TailStrict, nil); err == nil {
-		t.Fatal("strict accepted a torn tail")
-	}
-}
-
 func TestRunIDDeterministicAndDistinct(t *testing.T) {
 	a := RunID("spam", "open", "", "", 3, 42)
 	if a != RunID("spam", "open", "", "", 3, 42) {

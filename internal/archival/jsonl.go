@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 
@@ -18,9 +17,8 @@ const (
 	scanMax = 1 << 20
 )
 
-// MarshalLine renders v as one JSONL line, newline included — the single
-// line-encoding implementation behind the campaign sink, the measured
-// service stream, and the archival writers.
+// MarshalLine renders v as one JSONL line, newline included — the line
+// encoding of the measured service's NDJSON stream and result cache.
 func MarshalLine(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -34,14 +32,13 @@ func MarshalLine(v any) ([]byte, error) {
 type syncer interface{ Sync() error }
 
 // Sink is the shared record-stream writer: a mutex-guarded bufio writer
-// with whole-record writes, an every-N-records flush-and-fsync durability
-// policy, and optional flush/sync telemetry. The campaign record and trace
-// sinks and the archival observation writers all embed it; they differ only
-// in how a record becomes bytes.
+// with whole-batch writes, an every-N-batches flush-and-fsync durability
+// policy, and optional flush/sync telemetry. Both observation writers embed
+// it; they differ only in how a row becomes bytes.
 //
-// Records are written whole under the lock, so a writer killed mid-stream
-// leaves a valid prefix plus at most one torn trailing record — the exact
-// wreckage the tolerant readers in this package repair.
+// Batches are written whole under the lock, so a writer killed mid-stream
+// leaves a valid prefix plus at most one partial trailing batch — the
+// wreckage Repair and CutLastGroup remove.
 type Sink struct {
 	mu         sync.Mutex
 	w          *bufio.Writer
@@ -54,15 +51,15 @@ type Sink struct {
 	syncs      *telemetry.Counter
 }
 
-// Reset points the sink at w; embedders call it from their constructors.
-func (s *Sink) Reset(w io.Writer) {
+// reset points the sink at w; the writers call it from their constructors.
+func (s *Sink) reset(w io.Writer) {
 	s.w, s.raw = bufio.NewWriter(w), w
 }
 
-// SetSyncEvery bounds how much a hard crash can lose: every n records the
-// sink flushes its bufio layer and, when the underlying writer is a file,
-// syncs it to stable storage. n <= 0 restores the default (buffer until
-// Flush).
+// SetSyncEvery bounds how much a hard crash can lose: every n batches (one
+// per campaign run) the sink flushes its bufio layer and, when the
+// underlying writer is a file, syncs it to stable storage. n <= 0 restores
+// the default (buffer until Flush).
 func (s *Sink) SetSyncEvery(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,32 +75,15 @@ func (s *Sink) InstrumentSink(reg *telemetry.Registry, flushMetric, syncMetric, 
 	s.syncs = reg.Counter(telemetry.Labels(syncMetric, "sink", name))
 }
 
-// WriteRecords appends the already-encoded records (framing included)
-// atomically: all of them land contiguously under one lock acquisition, and
-// each counts toward the SetSyncEvery policy. The first I/O error is
-// retained and reported by Flush; later writes after an error are dropped.
-func (s *Sink) WriteRecords(raws ...[]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, raw := range raws {
-		if s.err != nil {
-			return
-		}
-		if _, err := s.w.Write(raw); err != nil {
-			s.err = err
-			return
-		}
-		s.wroteLocked()
-	}
-}
-
-// WriteBatch appends one pre-encoded batch of n records (framing included)
+// writeBatch appends one pre-encoded batch of n records (framing included)
 // with a single write under one lock acquisition. Encoding a whole run's
 // rows before taking the lock keeps concurrent workers' serialization work
 // parallel; only the copy into the bufio layer is serialized. The batch
-// lands contiguously (same torn-tail guarantee as WriteRecords) and each of
-// the n records counts toward the SetSyncEvery policy.
-func (s *Sink) WriteBatch(raw []byte, n int) {
+// lands contiguously, so a writer killed mid-stream leaves at most the
+// final batch torn. Count grows by n, but the batch counts once toward the
+// SetSyncEvery policy: a campaign writes one batch per run, so the policy
+// bounds loss in runs, not rows.
+func (s *Sink) writeBatch(raw []byte, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -113,14 +93,16 @@ func (s *Sink) WriteBatch(raw []byte, n int) {
 		s.err = err
 		return
 	}
-	for i := 0; i < n; i++ {
-		s.wroteLocked()
+	s.count += n
+	s.sinceFlush++
+	if s.syncEvery > 0 && s.sinceFlush >= s.syncEvery {
+		s.flushLocked(true)
 	}
 }
 
-// Fail retains an error produced outside the lock (batch encoding); the
+// fail retains an error produced outside the lock (batch encoding); the
 // first error wins, exactly like a write error.
-func (s *Sink) Fail(err error) {
+func (s *Sink) fail(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err == nil {
@@ -129,52 +111,19 @@ func (s *Sink) Fail(err error) {
 }
 
 // batchBufs pools the scratch buffers batch writers encode into before
-// handing the Sink one contiguous WriteBatch.
+// handing the Sink one contiguous writeBatch.
 var batchBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// GetBatchBuf returns an empty pooled buffer for staging one batch ahead of
-// a WriteBatch call; pair it with PutBatchBuf once the batch is written.
-func GetBatchBuf() *bytes.Buffer {
+// getBatchBuf returns an empty pooled buffer for staging one batch ahead of
+// a writeBatch call; pair it with putBatchBuf once the batch is written.
+func getBatchBuf() *bytes.Buffer {
 	b := batchBufs.Get().(*bytes.Buffer)
 	b.Reset()
 	return b
 }
 
-// PutBatchBuf returns a staging buffer to the pool.
-func PutBatchBuf(b *bytes.Buffer) { batchBufs.Put(b) }
-
-// EncodeLines marshals each value as one JSONL line and appends the batch
-// atomically. The first encoding or I/O error is retained; later writes are
-// dropped.
-func (s *Sink) EncodeLines(vals ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, v := range vals {
-		if s.err != nil {
-			return
-		}
-		raw, err := MarshalLine(v)
-		if err != nil {
-			s.err = err
-			return
-		}
-		if _, err := s.w.Write(raw); err != nil {
-			s.err = err
-			return
-		}
-		s.wroteLocked()
-	}
-}
-
-// wroteLocked accounts one written record and applies the SetSyncEvery
-// policy.
-func (s *Sink) wroteLocked() {
-	s.count++
-	s.sinceFlush++
-	if s.syncEvery > 0 && s.sinceFlush >= s.syncEvery {
-		s.flushLocked(true)
-	}
-}
+// putBatchBuf returns a staging buffer to the pool.
+func putBatchBuf(b *bytes.Buffer) { batchBufs.Put(b) }
 
 // flushLocked drains the bufio layer and, when sync is set, pushes the
 // bytes to stable storage if the underlying writer can. The first error is
@@ -225,72 +174,8 @@ const (
 	TailStrict TailPolicy = iota
 	// TailTolerate skips an undecodable FINAL record — the normal wreckage
 	// of a writer killed mid-append, or of reading a file a live writer is
-	// still appending to — reporting it through the warn callback and the
-	// truncate offset. Corruption anywhere before the last record still
+	// still appending to — reporting it through the warn callback.
+	// Corruption anywhere before the last record still
 	// aborts: that indicates real file damage, not an interrupted append.
 	TailTolerate
 )
-
-// DecodeJSONL streams records of type T from a JSONL stream, calling fn for
-// each. Empty lines are skipped. Under TailTolerate a bad final line is
-// skipped (warn, when non-nil, is told which line and why) and truncateAt
-// reports the byte offset where the torn tail begins — a caller that
-// intends to APPEND to the underlying file must truncate it there first.
-// truncateAt is -1 when the stream is clean. Offsets assume LF line
-// endings, which is what Sink writes. A non-nil error from fn stops the
-// scan and is returned verbatim.
-func DecodeJSONL[T any](r io.Reader, tail TailPolicy, warn func(line int, err error), fn func(T) error) (truncateAt int64, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, scanBuf), scanMax)
-	line := 0
-	badLine := 0
-	var off, badStart int64
-	var badErr error
-	for sc.Scan() {
-		line++
-		lineStart := off
-		off += int64(len(sc.Bytes())) + 1
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if badErr != nil {
-			// The bad line has non-empty data after it, so it was not a
-			// trailing partial write.
-			return -1, fmt.Errorf("archival: jsonl line %d: %w", badLine, badErr)
-		}
-		var rec T
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			if tail == TailStrict {
-				return -1, fmt.Errorf("archival: jsonl line %d: %w", line, err)
-			}
-			badLine, badErr, badStart = line, err, lineStart
-			continue
-		}
-		if err := fn(rec); err != nil {
-			return -1, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return -1, err
-	}
-	if badErr != nil {
-		if warn != nil {
-			warn(badLine, badErr)
-		}
-		return badStart, nil
-	}
-	return -1, nil
-}
-
-// ReadAllJSONL collects every record DecodeJSONL yields.
-func ReadAllJSONL[T any](r io.Reader, tail TailPolicy, warn func(line int, err error)) ([]T, int64, error) {
-	var out []T
-	truncateAt, err := DecodeJSONL(r, tail, warn, func(rec T) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, -1, err
-	}
-	return out, truncateAt, nil
-}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 )
@@ -55,7 +56,7 @@ type JSONLWriter struct {
 // NewJSONLWriter wraps w.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	jw := &JSONLWriter{}
-	jw.Reset(w)
+	jw.reset(w)
 	return jw
 }
 
@@ -64,19 +65,19 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 // single contiguous write, removing the per-row allocations that otherwise
 // dominate the archive path under concurrent workers.
 func (jw *JSONLWriter) WriteObservations(obs []Observation) {
-	b := GetBatchBuf()
+	b := getBatchBuf()
 	enc := json.NewEncoder(b)
 	for i := range obs {
 		// Encoder.Encode emits json.Marshal's bytes plus '\n' — the same
 		// framing as MarshalLine — without an intermediate allocation.
 		if err := enc.Encode(&obs[i]); err != nil {
-			jw.Fail(err)
-			PutBatchBuf(b)
+			jw.fail(err)
+			putBatchBuf(b)
 			return
 		}
 	}
-	jw.WriteBatch(b.Bytes(), len(obs))
-	PutBatchBuf(b)
+	jw.writeBatch(b.Bytes(), len(obs))
+	putBatchBuf(b)
 }
 
 // BinaryWriter streams observations in the binary encoding through the
@@ -89,7 +90,7 @@ type BinaryWriter struct {
 // NewBinaryWriter wraps w and stages the magic header.
 func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	bw := &BinaryWriter{}
-	bw.Reset(w)
+	bw.reset(w)
 	bw.writeMagic()
 	return bw
 }
@@ -98,7 +99,7 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 // magic header (the -resume append path): no new header is written.
 func NewBinaryAppender(w io.Writer) *BinaryWriter {
 	bw := &BinaryWriter{}
-	bw.Reset(w)
+	bw.reset(w)
 	return bw
 }
 
@@ -121,7 +122,7 @@ func (bw *BinaryWriter) WriteObservations(obs []Observation) {
 	for i := range obs {
 		buf = AppendObservation(buf, &obs[i])
 	}
-	bw.WriteBatch(buf, len(obs))
+	bw.writeBatch(buf, len(obs))
 	*p = buf
 	rawBufs.Put(p)
 }
@@ -132,6 +133,34 @@ func NewWriter(w io.Writer, f Format) Writer {
 		return NewBinaryWriter(w)
 	}
 	return NewJSONLWriter(w)
+}
+
+// OpenFile opens an observation file for writing in the encoding its
+// extension picks (FormatForPath). With appendTo the existing rows are kept
+// and new batches land after them — repair the file first — and a missing
+// or empty binary file still gets its magic header; otherwise the file is
+// created or truncated. Close the returned file after flushing the writer.
+func OpenFile(path string, appendTo bool) (Writer, *os.File, error) {
+	mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	if appendTo {
+		mode = os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	}
+	f, err := os.OpenFile(path, mode, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	format := FormatForPath(path)
+	if format == FormatBinary && appendTo {
+		st, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+		if st.Size() > 0 {
+			return NewBinaryAppender(f), f, nil
+		}
+	}
+	return NewWriter(f, format), f, nil
 }
 
 // Reader streams observations from either encoding in bounded memory,

@@ -145,3 +145,60 @@ func Repair(path string) (bool, error) {
 	}
 	return true, nil
 }
+
+// CutLastGroup truncates the file's final run group — the trailing rows
+// ContinuesBatch joins into one batch — when cut approves the group's first
+// row (nil cut always cuts), and reports whether it did. Writers append each
+// run's rows as one batch, so once Repair has removed a torn row only that
+// final group can be a partial batch, and a partial batch is
+// indistinguishable from a whole one by content: a row prefix unflattens to
+// a plausible record. Callers that cannot prove the batch whole drop it and
+// re-run it. The group's byte length comes from re-encoding its rows; both
+// encoders are deterministic, so the re-encoding matches what the writers
+// wrote.
+func CutLastGroup(path string, cut func(Observation) bool) (bool, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	rd, err := NewReader(f, TailStrict, nil)
+	if err != nil {
+		return false, err
+	}
+	var group []Observation
+	for {
+		o, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", path, err)
+		}
+		if len(group) > 0 && !ContinuesBatch(&group[len(group)-1], &o) {
+			group = group[:0]
+		}
+		group = append(group, o)
+	}
+	if len(group) == 0 || (cut != nil && !cut(group[0])) {
+		return false, nil
+	}
+	var groupLen int64
+	var scratch []byte
+	for i := range group {
+		if rd.Format() == FormatBinary {
+			scratch = AppendObservation(scratch[:0], &group[i])
+		} else if scratch, err = MarshalLine(&group[i]); err != nil {
+			return false, err
+		}
+		groupLen += int64(len(scratch))
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	return true, os.Truncate(path, st.Size()-groupLen)
+}

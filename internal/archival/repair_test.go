@@ -163,3 +163,76 @@ func TestCleanPrefixAppendResumes(t *testing.T) {
 		}
 	}
 }
+
+func TestCutLastGroupBothFormats(t *testing.T) {
+	row := func(run uint64, typ string) Observation {
+		o := Observation{Run: run, Type: typ, Technique: "spam", Scenario: "open", Seed: int64(run)}
+		o.SetID()
+		return o
+	}
+	first := []Observation{row(1, TypeVerdict), row(1, TypeError)}
+	last := []Observation{row(2, TypeTrace), row(2, TypeVerdict), row(2, TypeRisk)}
+	for _, name := range []string{"archive.jsonl", "archive.bin"} {
+		path := filepath.Join(t.TempDir(), name)
+		write := func(appendTo bool, batches ...[]Observation) {
+			t.Helper()
+			w, f, err := OpenFile(path, appendTo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				w.WriteObservations(b)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+		write(false, first)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(true, last)
+
+		// A declining predicate sees the final group's first row and keeps it.
+		cut, err := CutLastGroup(path, func(o Observation) bool {
+			if o.Run != 2 || o.Type != TypeTrace {
+				t.Fatalf("%s: predicate saw %+v, want the final group's first row", name, o)
+			}
+			return false
+		})
+		if err != nil || cut {
+			t.Fatalf("%s: declined cut: cut=%v err=%v", name, cut, err)
+		}
+		if n := countObs(t, path); n != 5 {
+			t.Fatalf("%s: %d rows after a declined cut, want 5", name, n)
+		}
+		if cut, err := CutLastGroup(path, nil); err != nil || !cut {
+			t.Fatalf("%s: cut=%v err=%v", name, cut, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: cutting the final group left %q, want %q", name, got, want)
+		}
+
+		// Cutting down to nothing leaves a valid append point: a binary
+		// file keeps its header and the append writes no second one.
+		if cut, err := CutLastGroup(path, nil); err != nil || !cut {
+			t.Fatalf("%s: second cut=%v err=%v", name, cut, err)
+		}
+		if cut, err := CutLastGroup(path, nil); err != nil || cut {
+			t.Fatalf("%s: cut of an empty archive: cut=%v err=%v", name, cut, err)
+		}
+		write(true, first)
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+			t.Fatalf("%s: append after cutting everything = %q, want %q", name, got, want)
+		}
+	}
+	if cut, err := CutLastGroup(filepath.Join(t.TempDir(), "absent"), nil); err != nil || cut {
+		t.Fatalf("missing file: cut=%v err=%v", cut, err)
+	}
+}

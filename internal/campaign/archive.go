@@ -2,7 +2,10 @@ package campaign
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"safemeasure/internal/archival"
 	"safemeasure/internal/telemetry"
@@ -238,13 +241,17 @@ func seqSlice(m map[int]string) []string {
 }
 
 // ObservationSink adapts an archival writer to the campaign callbacks: each
-// completed run's record (and, when tracing is on, its trace) is flattened
-// into observation rows and written as one contiguous batch, so archives
-// stay run-contiguous — the property the streaming analyzers group by.
-// Record and Trace are safe to call from multiple workers (the underlying
-// archival.Sink serializes batches).
+// completed run is flattened into observation rows and written as one
+// batch, so archives stay run-contiguous — the property ReadRecords and
+// resume group by. When tracing is on, Trace stages a run's trace rows and
+// Record writes them in the same batch as the run's record rows, so no
+// other worker's batch can land between them. Record and Trace are safe to
+// call from multiple workers.
 type ObservationSink struct {
-	w archival.Writer
+	w       archival.Writer
+	tracing atomic.Bool
+	mu      sync.Mutex
+	staged  map[uint64][]archival.Observation // trace rows by run ID, awaiting Record
 }
 
 // NewObservationSink wraps an archival writer.
@@ -252,14 +259,109 @@ func NewObservationSink(w archival.Writer) *ObservationSink {
 	return &ObservationSink{w: w}
 }
 
-// Record flattens and archives one run record (an Options.OnRecord hook).
+// Record flattens and archives one run record (an Options.OnRecord hook),
+// together with the trace rows Trace staged for the same run. The pool
+// calls OnTrace only for claimed runs, on the worker that then delivers the
+// run's record, so the stage holds at most one entry per worker; with
+// tracing off Record takes no lock of its own.
 func (s *ObservationSink) Record(rec RunRecord) {
-	s.w.WriteObservations(FlattenRecord(rec))
+	rows := FlattenRecord(rec)
+	if s.tracing.Load() {
+		run := archiveRunID(rec.Technique, rec.Scenario, rec.Impairment, rec.Behavior, rec.Trial, rec.Seed)
+		s.mu.Lock()
+		trace := s.staged[run]
+		delete(s.staged, run)
+		s.mu.Unlock()
+		if len(trace) > 0 {
+			rows = append(trace, rows...)
+		}
+	}
+	s.w.WriteObservations(rows)
 }
 
-// Trace flattens and archives one run's trace (an Options.OnTrace hook).
+// Trace flattens one run's trace and stages it for that run's Record (an
+// Options.OnTrace hook).
 func (s *ObservationSink) Trace(rt RunTrace) {
-	s.w.WriteObservations(FlattenTrace(rt))
+	rows := FlattenTrace(rt)
+	if len(rows) == 0 {
+		return
+	}
+	s.mu.Lock()
+	if s.staged == nil {
+		s.staged = make(map[uint64][]archival.Observation)
+	}
+	s.staged[rows[0].Run] = rows
+	s.mu.Unlock()
+	s.tracing.Store(true)
+}
+
+// ReadRecords streams the run records an archive holds into fn — the one
+// reader of records from rows. Rows are grouped into the batches
+// archival.ContinuesBatch recognizes (each run's rows are one batch);
+// groups of only trace or packet rows are not records and are skipped. A
+// resumed campaign leaves a run's error record in the file next to the
+// error-free record that superseded it, so error records are held back, one
+// per run ID: an error-free record of the same run drops the held one, and
+// those still held are emitted, in first-seen order, at the end of the
+// stream. Every other record reaches fn in file order. A non-nil error from
+// fn stops the read and is returned.
+func ReadRecords(rd *archival.Reader, fn func(RunRecord) error) error {
+	var group []archival.Observation
+	hasRecordRows := false
+	held := map[uint64]RunRecord{}
+	var heldOrder []uint64
+	emit := func() error {
+		defer func() { group, hasRecordRows = group[:0], false }()
+		if !hasRecordRows {
+			return nil
+		}
+		rec, err := UnflattenRecord(group)
+		if err != nil {
+			return err
+		}
+		run := group[0].Run
+		if rec.Error == "" {
+			delete(held, run)
+			return fn(rec)
+		}
+		if _, ok := held[run]; !ok {
+			held[run] = rec
+			heldOrder = append(heldOrder, run)
+		}
+		return nil
+	}
+	for {
+		o, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if len(group) > 0 && !archival.ContinuesBatch(&group[len(group)-1], &o) {
+			if err := emit(); err != nil {
+				return err
+			}
+		}
+		group = append(group, o)
+		if o.Type != archival.TypeTrace && o.Type != archival.TypePacket {
+			hasRecordRows = true
+		}
+	}
+	if err := emit(); err != nil {
+		return err
+	}
+	for _, run := range heldOrder {
+		rec, ok := held[run]
+		if !ok {
+			continue
+		}
+		delete(held, run)
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Count reports how many observation rows were written.

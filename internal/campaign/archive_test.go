@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,7 +73,9 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 }
 
 // TestFlattenRoundTripThroughBinary runs the full pipeline: record →
-// observations → binary encoding → observations → record.
+// observations → binary encoding → observations → ReadRecords → record.
+// Every sampled record is its own run, so ReadRecords returns the
+// error-free records in write order and then the held error records.
 func TestFlattenRoundTripThroughBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var recs []RunRecord
@@ -90,38 +91,19 @@ func TestFlattenRoundTripThroughBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := archival.NewReader(&buf, archival.TailStrict, nil)
+	got, err := readRecords(t, buf.Bytes(), archival.TailStrict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []RunRecord
-	var runObs []archival.Observation
-	flushRun := func() {
-		if len(runObs) == 0 {
-			return
+	var want, failed []RunRecord
+	for _, rec := range recs {
+		if rec.Error != "" {
+			failed = append(failed, rec)
+		} else {
+			want = append(want, rec)
 		}
-		rec, err := UnflattenRecord(runObs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rec)
-		runObs = runObs[:0]
 	}
-	for {
-		o, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(runObs) > 0 && o.Run != runObs[0].Run {
-			flushRun()
-		}
-		runObs = append(runObs, o)
-	}
-	flushRun()
-	if !reflect.DeepEqual(got, recs) {
+	if want = append(want, failed...); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pipeline round trip diverged: got %d records, want %d", len(got), len(recs))
 	}
 }
@@ -221,5 +203,31 @@ func TestFlattenTraceJoinsRecordRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("got %+v want %+v", got, rec)
+	}
+}
+
+// TestFlattenWritesBatchOrder pins the order archival.ContinuesBatch
+// relies on: a run's trace rows then its record rows form one batch, and a
+// second batch of the same run — a re-run appended right after the run's
+// error record — starts a new one.
+func TestFlattenWritesBatchOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 500; i++ {
+		rec := randRunRecord(rng)
+		rt := RunTrace{Scenario: rec.Scenario, Impairment: rec.Impairment, Technique: rec.Technique,
+			Trial: rec.Trial, Seed: rec.Seed, Events: make([]telemetry.Event, rng.Intn(3))}
+		rows := append(FlattenTrace(rt), FlattenRecord(rec)...)
+		for j := 1; j < len(rows); j++ {
+			if !archival.ContinuesBatch(&rows[j-1], &rows[j]) {
+				t.Fatalf("rec %d: row %d (%s) does not continue row %d (%s)",
+					i, j, rows[j].Type, j-1, rows[j-1].Type)
+			}
+		}
+		errRows := FlattenRecord(ErrorRecord(RunSpec{Technique: rec.Technique, Scenario: rec.Scenario,
+			Impairment: rec.Impairment, Trial: rec.Trial, Seed: rec.Seed}, fmt.Errorf("timeout")))
+		last := errRows[len(errRows)-1]
+		if archival.ContinuesBatch(&last, &rows[0]) {
+			t.Fatalf("rec %d: a re-run's first row (%s) continues the error batch", i, rows[0].Type)
+		}
 	}
 }

@@ -3,18 +3,18 @@
 // scenarios × trial seeds), shards it across a bounded worker pool — one
 // isolated lab per run, every seed derived deterministically from the
 // campaign seed so results are reproducible regardless of scheduling — and
-// streams each completed run to a JSONL sink before aggregating the
+// streams each completed run to an observation archive before aggregating the
 // campaign into per-technique/per-scenario accuracy, MVR-evasion,
 // analyst-flag, and attribution-entropy tables (the paper's E11 matrix at
 // campaign scale).
 //
 // The pieces compose left to right:
 //
-//	NewPlan → Run(plan, Options{Workers, OnRecord: sink.Write}) → Aggregate
+//	NewPlan → Run(plan, Options{Workers, OnRecord: sink.Record}) → Aggregate
 //
 // Each run builds its own lab.Lab and drains it in virtual time, so runs
 // never share state and the only nondeterminism a worker pool introduces is
-// completion *order*; sorting the JSONL lines of two campaigns with equal
+// completion *order*; sorting the archive rows of two campaigns with equal
 // seeds but different worker counts yields byte-identical files.
 package campaign
 
@@ -23,8 +23,9 @@ import (
 )
 
 // RunRecord is one campaign run: the shared measurement record plus the
-// plan coordinates that produced it and the scenario's ground truth. It is
-// the JSONL line format of the sink.
+// plan coordinates that produced it and the scenario's ground truth.
+// FlattenRecord decomposes it into archive rows; its JSON form is the
+// measured service's response line.
 type RunRecord struct {
 	Scenario string `json:"scenario"`
 	// Impairment names the link-impairment preset the run's lab carried

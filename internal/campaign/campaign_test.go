@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/telemetry"
 )
 
@@ -75,16 +76,16 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	var outputs []string
 	for _, workers := range []int{1, 4} {
 		var buf bytes.Buffer
-		sink := NewJSONLSink(&buf)
-		recs, err := Run(smallPlan(t, 42), Options{Workers: workers, OnRecord: sink.Write})
+		sink := NewObservationSink(archival.NewJSONLWriter(&buf))
+		recs, err := Run(smallPlan(t, 42), Options{Workers: workers, OnRecord: sink.Record})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// The streamed sink and the returned slice hold the same records.
-		streamed, err := ReadJSONL(&buf)
+		// The streamed archive and the returned slice hold the same records.
+		streamed, err := readRecords(t, buf.Bytes(), archival.TailStrict)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func ErrorRecord(spec RunSpec, err error) RunRecord {
 }
 
 // recordImpairment canonicalizes the impairment name for records: the
-// pristine link renders as the empty string (omitted from JSONL).
+// pristine link renders as the empty string (omitted from JSON and archive rows).
 func recordImpairment(name string) string {
 	if name == lab.ImpairmentNone {
 		return ""
@@ -79,8 +79,9 @@ func recordImpairment(name string) string {
 }
 
 // recordBehavior canonicalizes the censor-behavior name for records: the
-// faithful censor renders as the empty string (omitted from JSONL), so
-// behavior-unaware files stay byte-identical and resume-compatible.
+// faithful censor renders as the empty string (omitted from JSON and
+// archive rows), so behavior-unaware files stay byte-identical and
+// resume-compatible.
 func recordBehavior(name string) string {
 	if name == lab.BehaviorNone {
 		return ""

@@ -3,11 +3,13 @@ package campaign
 import (
 	"fmt"
 	"os"
+
+	"safemeasure/internal/archival"
 )
 
 // DoneKey is the resume identity of a run: its plan coordinates with the
 // impairment and behavior names canonicalized (the pristine link and the
-// faithful censor are "", matching the omitempty JSONL forms), so files
+// faithful censor are "", matching the omitempty archive columns), so files
 // written before either axis existed resume cleanly.
 type DoneKey struct {
 	Technique  string
@@ -66,25 +68,53 @@ func (p *Plan) Remaining(done map[DoneKey]bool) *Plan {
 	return p.Filter(func(s RunSpec) bool { return !done[s.Key()] })
 }
 
-// ReadDoneFile loads the resume identities of the error-free runs recorded
-// in a JSONL file — the shared entry point of every consumer that resumes
-// or dedupes against a records file (cmd/campaign -resume, cache warming).
-// A missing file is an empty done set, not an error. truncateAt, when >= 0,
-// is the byte offset of a corrupt trailing line (the wreckage of a campaign
-// killed mid-write) that a caller intending to append must truncate away
-// first; warn, when non-nil, is told about the skipped line.
-func ReadDoneFile(path string, warn func(line int, err error)) (map[DoneKey]bool, int64, error) {
+// ReadDoneFile prepares an archive for a resumed campaign to append to and
+// returns the resume identities of the error-free runs it keeps — the one
+// resume step cmd/campaign and the chaos suite share. In order: Repair cuts
+// a torn trailing row; CutLastGroup always cuts the final run group, which
+// may be a partial batch that unflattens to a plausible record (re-running
+// it reproduces its rows byte for byte, by seed-determinism); ReadRecords
+// builds the done set from what remains. warn, when non-nil, is told about
+// each cut. A missing file is an empty done set, not an error.
+func ReadDoneFile(path string, warn func(msg string)) (map[DoneKey]bool, error) {
+	if warn == nil {
+		warn = func(string) {}
+	}
+	torn, err := archival.Repair(path)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if torn {
+		warn("cut a torn trailing row")
+	}
+	cut, err := archival.CutLastGroup(path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if cut {
+		warn("cut the final run group to re-run it")
+	}
+	done := map[DoneKey]bool{}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return map[DoneKey]bool{}, -1, nil
+		return done, nil
 	}
 	if err != nil {
-		return nil, -1, err
+		return nil, err
 	}
 	defer f.Close()
-	recs, truncateAt, err := ReadJSONLResume(f, warn)
+	rd, err := archival.NewReader(f, archival.TailStrict, nil)
 	if err != nil {
-		return nil, -1, fmt.Errorf("campaign: %s: %w", path, err)
+		return nil, fmt.Errorf("campaign: %s: %w", path, err)
 	}
-	return DoneSet(recs), truncateAt, nil
+	err = ReadRecords(rd, func(rec RunRecord) error {
+		if rec.Error == "" {
+			done[rec.Key()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", path, err)
+	}
+	return done, nil
 }

@@ -3,11 +3,14 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/telemetry"
 )
 
@@ -20,59 +23,122 @@ func fakeRecord(scenario, technique string, trial int) RunRecord {
 	return rec
 }
 
-func TestJSONLSinkRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+// fakeTrace is a two-event trace for fakeRecord's run.
+func fakeTrace(scenario, technique string, trial int) RunTrace {
+	return RunTrace{Scenario: scenario, Technique: technique, Trial: trial, Seed: int64(trial),
+		Events: []telemetry.Event{
+			{T: 100, Kind: telemetry.EvProbeSent, Src: "10.1.0.10", Dst: "203.0.113.53"},
+			{T: 250, Kind: telemetry.EvTTLExpiry, Detail: "edge"},
+		}}
+}
+
+// readRecords reads every record ReadRecords yields from an encoded archive.
+func readRecords(t *testing.T, b []byte, tail archival.TailPolicy) ([]RunRecord, error) {
+	t.Helper()
+	rd, err := archival.NewReader(bytes.NewReader(b), tail, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []RunRecord
+	err = ReadRecords(rd, func(rec RunRecord) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, err
+}
+
+// readRows decodes every row of an encoded archive.
+func readRows(t *testing.T, b []byte) []archival.Observation {
+	t.Helper()
+	rd, err := archival.NewReader(bytes.NewReader(b), archival.TailStrict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []archival.Observation
+	for {
+		o, err := rd.Next()
+		if err != nil {
+			break
+		}
+		rows = append(rows, o)
+	}
+	return rows
+}
+
+func TestObservationSinkRoundtrip(t *testing.T) {
 	want := []RunRecord{
 		fakeRecord("dns-poison", "spam", 0),
 		fakeRecord("dns-poison", "spam", 1),
 		fakeRecord("open", "overt-dns", 0),
 	}
-	for _, rec := range want {
-		sink.Write(rec)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Count() != len(want) {
-		t.Fatalf("count = %d, want %d", sink.Count(), len(want))
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read back %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], want[i])
+	for _, format := range []archival.Format{archival.FormatJSONL, archival.FormatBinary} {
+		var buf bytes.Buffer
+		sink := NewObservationSink(archival.NewWriter(&buf, format))
+		for _, rec := range want {
+			sink.Record(rec)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if rows := len(FlattenRecord(want[0])); sink.Count() != rows*len(want) {
+			t.Fatalf("%v: count = %d rows, want %d", format, sink.Count(), rows*len(want))
+		}
+		got, err := readRecords(t, buf.Bytes(), archival.TailStrict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: read back %+v, want %+v", format, got, want)
 		}
 	}
 }
 
-func TestJSONLSinkConcurrentWrites(t *testing.T) {
+// TestObservationSinkConcurrentWrites: concurrent workers each stage a
+// trace and then write its record; every run must land as one contiguous
+// group holding its trace rows and its record rows.
+func TestObservationSinkConcurrentWrites(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
 	const n = 200
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sink.Write(fakeRecord("open", "spam", i))
+			sink.Trace(fakeTrace("open", "spam", i))
+			sink.Record(fakeRecord("open", "spam", i))
 		}(i)
 	}
 	wg.Wait()
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatalf("concurrent writes interleaved: %v", err)
+	if len(sink.staged) != 0 {
+		t.Fatalf("%d staged traces never written", len(sink.staged))
 	}
-	if len(recs) != n {
-		t.Fatalf("read %d records, want %d", len(recs), n)
+	perRun := len(FlattenTrace(fakeTrace("open", "spam", 0))) + len(FlattenRecord(fakeRecord("open", "spam", 0)))
+	rows := readRows(t, buf.Bytes())
+	if len(rows) != n*perRun {
+		t.Fatalf("%d rows, want %d", len(rows), n*perRun)
+	}
+	for i := 0; i < len(rows); i += perRun {
+		group := rows[i : i+perRun]
+		traces := 0
+		for _, o := range group {
+			if o.Run != group[0].Run {
+				t.Fatalf("rows %d..%d interleave runs %d and %d", i, i+perRun, group[0].Run, o.Run)
+			}
+			if o.Type == archival.TypeTrace {
+				traces++
+			}
+		}
+		if traces != 2 {
+			t.Fatalf("run %d: %d trace rows in its batch, want 2", group[0].Run, traces)
+		}
+	}
+	recs, err := readRecords(t, buf.Bytes(), archival.TailStrict)
+	if err != nil {
+		t.Fatal(err)
 	}
 	seen := map[int]bool{}
 	for _, r := range recs {
@@ -81,16 +147,8 @@ func TestJSONLSinkConcurrentWrites(t *testing.T) {
 		}
 		seen[r.Trial] = true
 	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	_, err := ReadJSONL(strings.NewReader("{\"scenario\":\"open\"}\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("err = %v, want line-2 parse failure", err)
-	}
-	recs, err := ReadJSONL(strings.NewReader(""))
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("empty stream: %v, %v", recs, err)
+	if len(seen) != n {
+		t.Fatalf("read %d records, want %d", len(seen), n)
 	}
 }
 
@@ -104,85 +162,197 @@ func (f *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestJSONLSinkRetainsFirstError(t *testing.T) {
-	sink := NewJSONLSink(&failWriter{after: 1}) // room for less than one line
+func TestObservationSinkRetainsFirstError(t *testing.T) {
+	sink := NewObservationSink(archival.NewJSONLWriter(&failWriter{after: 1})) // room for less than one row
 	for i := 0; i < 100; i++ {
-		sink.Write(fakeRecord("open", "spam", i))
+		sink.Record(fakeRecord("open", "spam", i))
 	}
 	if err := sink.Flush(); err == nil {
 		t.Fatal("sink swallowed the write error")
 	}
 }
 
-func TestReadJSONLResumeSkipsTruncatedTail(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	sink.Write(fakeRecord("dns-poison", "spam", 0))
-	sink.Write(fakeRecord("dns-poison", "spam", 1))
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
+// TestReadRecordsErrorFreeRecordWins pins the resume double-count fix: a
+// run's error records are held back and dropped once an error-free record
+// of the same run is read; several error records of one run count once.
+func TestReadRecordsErrorFreeRecordWins(t *testing.T) {
+	errRec := func(trial int) RunRecord {
+		rec := RunRecord{Scenario: "open", Trial: trial}
+		rec.Technique, rec.Seed, rec.Error = "spam", int64(trial), "run exceeded 1ns wall-clock timeout"
+		return rec
 	}
-	// A campaign killed mid-write leaves a partial final line.
-	goodLen := int64(buf.Len())
-	buf.WriteString(`{"scenario":"dns-poi`)
-
-	var warnedLine int
-	recs, truncateAt, err := ReadJSONLResume(&buf, func(line int, err error) { warnedLine = line })
-	if err != nil {
-		t.Fatalf("tolerant read failed: %v", err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d, want 2", len(recs))
-	}
-	if warnedLine != 3 {
-		t.Fatalf("warned about line %d, want 3", warnedLine)
-	}
-	if truncateAt != goodLen {
-		t.Fatalf("truncateAt = %d, want %d (end of last good line)", truncateAt, goodLen)
-	}
-	// The strict reader still rejects the same input.
-	strict := strings.NewReader(`{"scenario":"dns-poi`)
-	if _, err := ReadJSONL(strict); err == nil {
-		t.Fatal("strict ReadJSONL accepted a truncated line")
+	ok := fakeRecord("open", "spam", 0)
+	for _, tc := range []struct {
+		name string
+		in   []RunRecord
+		want []RunRecord
+	}{
+		{"error-ok", []RunRecord{errRec(0), ok}, []RunRecord{ok}},
+		{"error-error-ok", []RunRecord{errRec(0), errRec(0), ok}, []RunRecord{ok}},
+		{"error-error", []RunRecord{errRec(0), errRec(0)}, []RunRecord{errRec(0)}},
+		// Held errors come out at the end, after every error-free record.
+		{"other-runs", []RunRecord{errRec(1), errRec(0), ok, errRec(1), fakeRecord("open", "spam", 2)},
+			[]RunRecord{ok, fakeRecord("open", "spam", 2), errRec(1)}},
+	} {
+		var buf bytes.Buffer
+		sink := NewObservationSink(archival.NewJSONLWriter(&buf))
+		for _, rec := range tc.in {
+			sink.Record(rec)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readRecords(t, buf.Bytes(), archival.TailStrict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 
-func TestReadJSONLResumeRejectsMidFileCorruption(t *testing.T) {
-	input := `{"scenario":"open","trial":0,"technique":"overt-dns","correct":true}
-not json at all
-{"scenario":"open","trial":1,"technique":"overt-dns","correct":true}
-`
-	warned := false
-	_, _, err := ReadJSONLResume(strings.NewReader(input), func(int, error) { warned = true })
-	if err == nil {
+func TestReadRecordsSkipsTraceOnlyGroups(t *testing.T) {
+	var buf bytes.Buffer
+	w := archival.NewJSONLWriter(&buf)
+	w.WriteObservations(FlattenTrace(fakeTrace("open", "spam", 0)))
+	w.WriteObservations(FlattenRecord(fakeRecord("open", "spam", 1)))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readRecords(t, buf.Bytes(), archival.TailStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []RunRecord{fakeRecord("open", "spam", 1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+func TestReadRecordsRejectsGarbage(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
+	sink.Record(fakeRecord("open", "spam", 0))
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	if _, err := readRecords(t, []byte(good+"not json\n"+good), archival.TailTolerate); err == nil {
 		t.Fatal("mid-file corruption accepted")
 	}
-	if warned {
-		t.Fatal("warn called for a hard error")
+	if _, err := readRecords(t, []byte(good+`{"id":"1","run":"2","ty`), archival.TailStrict); err == nil {
+		t.Fatal("strict read accepted a torn row")
+	}
+	recs, err := readRecords(t, nil, archival.TailStrict)
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("empty stream: %v, %v", recs, err)
 	}
 }
 
-func TestReadJSONLResumeCleanFile(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	want := []RunRecord{fakeRecord("open", "overt-dns", 0), fakeRecord("open", "overt-tcp", 0)}
-	for _, rec := range want {
-		sink.Write(rec)
+// writeArchiveFile writes recs to path, one batch each.
+func writeArchiveFile(t *testing.T, path string, recs ...RunRecord) {
+	t.Helper()
+	w, f, err := archival.OpenFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sink := NewObservationSink(w)
+	for _, rec := range recs {
+		sink.Record(rec)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, truncateAt, err := ReadJSONLResume(&buf, func(line int, err error) {
-		t.Fatalf("unexpected warning for clean file: line %d: %v", line, err)
-	})
+}
+
+// TestReadDoneFileCutsTornTailAndFinalGroup: a campaign killed mid-write
+// leaves a torn row; resume cuts it, then cuts the final run group (which
+// may be a partial batch), and the done set holds only the runs before it.
+func TestReadDoneFileCutsTornTailAndFinalGroup(t *testing.T) {
+	recs := []RunRecord{
+		fakeRecord("dns-poison", "spam", 0),
+		fakeRecord("dns-poison", "spam", 1),
+		fakeRecord("dns-poison", "spam", 2),
+	}
+	for _, name := range []string{"out.jsonl", "out.bin"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		writeArchiveFile(t, filepath.Join(dir, "want."+name), recs[0])
+		want, err := os.ReadFile(filepath.Join(dir, "want."+name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeArchiveFile(t, path, recs[:2]...)
+		full, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tear a third run's first row in half.
+		var row bytes.Buffer
+		w := archival.NewWriter(&row, archival.FormatForPath(name))
+		w.WriteObservations(FlattenRecord(recs[2])[:1])
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rb := bytes.TrimPrefix(row.Bytes(), []byte(archival.Magic))
+		torn := rb[:len(rb)/2]
+		if err := os.WriteFile(path, append(full, torn...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var warned []string
+		done, err := ReadDoneFile(path, func(msg string) { warned = append(warned, msg) })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(warned) != 2 {
+			t.Fatalf("%s: warnings %q, want a torn-row and a final-group cut", name, warned)
+		}
+		if want := map[DoneKey]bool{recs[0].Key(): true}; !reflect.DeepEqual(done, want) {
+			t.Fatalf("%s: done = %v, want %v", name, done, want)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+			t.Fatalf("%s: resume left %d bytes, want the first run's %d", name, len(got), len(want))
+		}
+	}
+}
+
+func TestReadDoneFileCleanAndMissing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	done, err := ReadDoneFile(path, func(msg string) { t.Fatalf("missing file warned %q", msg) })
+	if err != nil || len(done) != 0 {
+		t.Fatalf("missing file: done=%v err=%v", done, err)
+	}
+	errRec := fakeRecord("open", "overt-dns", 1)
+	errRec.Verdict, errRec.Correct, errRec.Error = "", false, "panic: boom"
+	writeArchiveFile(t, path, fakeRecord("open", "overt-dns", 0), errRec, fakeRecord("open", "overt-tcp", 0))
+	warned := 0
+	done, err = ReadDoneFile(path, func(string) { warned++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if truncateAt != -1 {
-		t.Fatalf("truncateAt = %d for a clean file, want -1", truncateAt)
+	// The final group is cut even from a clean file, and the error record
+	// is not done.
+	if want := map[DoneKey]bool{fakeRecord("open", "overt-dns", 0).Key(): true}; !reflect.DeepEqual(done, want) || warned != 1 {
+		t.Fatalf("done = %v (%d warnings), want %v and one warning", done, warned, want)
 	}
-	if !reflect.DeepEqual(recs, want) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", recs, want)
+}
+
+func TestReadDoneFileRejectsMidFileCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	writeArchiveFile(t, path, fakeRecord("open", "overt-dns", 0), fakeRecord("open", "overt-dns", 1))
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append([]byte("not json at all\n"), full...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDoneFile(path, func(msg string) { t.Fatalf("warned %q for a hard error", msg) }); err == nil {
+		t.Fatal("mid-file corruption accepted")
+	}
+	if got, _ := os.ReadFile(path); len(got) != len(full)+len("not json at all\n") {
+		t.Fatal("a damaged file was truncated")
 	}
 }
 
@@ -196,51 +366,68 @@ type syncWriter struct {
 func (w *syncWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 func (w *syncWriter) Sync() error                 { w.syncs++; return nil }
 
-func TestJSONLSinkSyncEveryBoundsLoss(t *testing.T) {
-	w := &syncWriter{}
-	sink := NewJSONLSink(w)
-	sink.SyncEvery(2)
-	reg := telemetry.NewRegistry()
-	sink.Instrument(reg, "records")
+// TestJSONLSinkSyncEveryBoundsLoss: -sync-every N counts runs. After k·N
+// untraced runs exactly k·N complete run groups of the JSONL archive are
+// durable.
+func TestJSONLSinkSyncEveryBoundsLoss(t *testing.T) { checkSyncEveryBoundsLoss(t, false) }
 
+// TestTraceSinkSyncEvery: trace rows ride in their run's batch, so a traced
+// run counts once toward -sync-every and its trace rows are durable with it.
+func TestTraceSinkSyncEvery(t *testing.T) { checkSyncEveryBoundsLoss(t, true) }
+
+// checkSyncEveryBoundsLoss: -sync-every N counts runs, not rows. After k·N
+// runs exactly k·N complete run groups are durable, traced or not.
+func checkSyncEveryBoundsLoss(t *testing.T, traced bool) {
+	t.Helper()
+	const every = 2
+	w := &syncWriter{}
+	sink := NewObservationSink(archival.NewJSONLWriter(w))
+	sink.SyncEvery(every)
+	reg := telemetry.NewRegistry()
+	sink.Instrument(reg, "archive")
+	write := func(i int) {
+		if traced {
+			sink.Trace(fakeTrace("open", "spam", i))
+		}
+		sink.Record(fakeRecord("open", "spam", i))
+	}
 	for i := 0; i < 5; i++ {
-		sink.Write(fakeRecord("open", "spam", i))
+		write(i)
+		// Without calling Flush, the runs up to the last multiple of
+		// every must already be durable: visible AND synced.
+		wantRuns := (i + 1) / every * every
+		recs, err := readRecords(t, w.buf.Bytes(), archival.TailStrict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != wantRuns || w.syncs != wantRuns/every {
+			t.Fatalf("traced=%v after %d runs: %d durable runs, %d syncs; want %d, %d",
+				traced, i+1, len(recs), w.syncs, wantRuns, wantRuns/every)
+		}
 	}
-	// Without calling Flush, 4 of the 5 records (two SyncEvery batches)
-	// must already be durable: visible in the writer AND synced.
-	recs, err := ReadJSONL(bytes.NewReader(w.buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("pre-Flush durable records = %d, want 4 (SyncEvery 2 after 5 writes)", len(recs))
-	}
-	if w.syncs != 2 {
-		t.Fatalf("syncs = %d, want 2", w.syncs)
-	}
-	if got := reg.Counter(telemetry.Labels("campaign_sink_sync_total", "sink", "records")).Value(); got != 2 {
-		t.Fatalf("campaign_sink_sync_total = %d, want 2", got)
+	if got := reg.Counter(telemetry.Labels("campaign_sink_sync_total", "sink", "archive")).Value(); got != 2 {
+		t.Fatalf("traced=%v: campaign_sink_sync_total = %d, want 2", traced, got)
 	}
 	// Final Flush drains the straggler and syncs once more.
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err = ReadJSONL(bytes.NewReader(w.buf.Bytes()))
+	recs, err := readRecords(t, w.buf.Bytes(), archival.TailStrict)
 	if err != nil || len(recs) != 5 {
-		t.Fatalf("post-Flush records = %d (%v), want 5", len(recs), err)
+		t.Fatalf("traced=%v: post-Flush records = %d (%v), want 5", traced, len(recs), err)
 	}
 	if w.syncs != 3 {
-		t.Fatalf("syncs after Flush = %d, want 3", w.syncs)
+		t.Fatalf("traced=%v: syncs after Flush = %d, want 3", traced, w.syncs)
 	}
-	if got := reg.Counter(telemetry.Labels("campaign_sink_flush_total", "sink", "records")).Value(); got != 3 {
-		t.Fatalf("campaign_sink_flush_total = %d, want 3", got)
+	if got := reg.Counter(telemetry.Labels("campaign_sink_flush_total", "sink", "archive")).Value(); got != 3 {
+		t.Fatalf("traced=%v: campaign_sink_flush_total = %d, want 3", traced, got)
 	}
 }
 
-func TestJSONLSinkSyncEveryDisabledBuffers(t *testing.T) {
+func TestObservationSinkSyncEveryDisabledBuffers(t *testing.T) {
 	w := &syncWriter{}
-	sink := NewJSONLSink(w)
-	sink.Write(fakeRecord("open", "spam", 0))
+	sink := NewObservationSink(archival.NewJSONLWriter(w))
+	sink.Record(fakeRecord("open", "spam", 0))
 	if w.buf.Len() != 0 {
 		t.Fatal("record escaped the bufio layer without SyncEvery or Flush")
 	}
@@ -250,29 +437,7 @@ func TestJSONLSinkSyncEveryDisabledBuffers(t *testing.T) {
 	if w.syncs != 0 {
 		t.Fatalf("plain Flush synced %d times; sync is the SyncEvery contract", w.syncs)
 	}
-}
-
-func TestTraceSinkSyncEvery(t *testing.T) {
-	w := &syncWriter{}
-	sink := NewTraceSink(w)
-	sink.SyncEvery(3)
-	events := []telemetry.Event{{T: 1, Kind: "probe"}, {T: 2, Kind: "alert"}}
-	sink.Write(RunTrace{Scenario: "open", Technique: "spam", Trial: 0, Events: events})
-	if w.buf.Len() != 0 {
-		t.Fatalf("2 event lines flushed before the 3-line threshold")
-	}
-	sink.Write(RunTrace{Scenario: "open", Technique: "spam", Trial: 1, Events: events})
-	// The run is written as one batch, so when the 3-line threshold fires the
-	// whole batch is already in the bufio layer and all 4 lines become
-	// durable — the flush can only land at or past the threshold, never short
-	// of it.
-	if lines := strings.Count(w.buf.String(), "\n"); lines != 4 || w.syncs != 1 {
-		t.Fatalf("after 4 events: %d durable lines, %d syncs; want 4 lines, 1 sync", lines, w.syncs)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Count() != 4 {
-		t.Fatalf("count = %d, want 4", sink.Count())
+	if !strings.Contains(w.buf.String(), `"type":"verdict"`) {
+		t.Fatalf("flushed archive lacks the verdict row:\n%s", w.buf.String())
 	}
 }

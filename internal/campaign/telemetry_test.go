@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/core"
 	"safemeasure/internal/telemetry"
 )
@@ -14,16 +15,17 @@ func recordFor(tech string) core.Record { return core.Record{Technique: tech} }
 
 // runInstrumented executes the plan with full telemetry at the given worker
 // count and returns the scheduling-independent canonical forms: the final
-// counter exposition and the sorted trace lines.
+// counter exposition and the sorted archive rows, trace rows included.
 func runInstrumented(t *testing.T, seed int64, workers int) (counters, trace string) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	ts := NewTraceSink(&buf)
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
 	recs, err := Run(smallPlan(t, seed), Options{
-		Workers: workers,
-		Metrics: reg,
-		OnTrace: ts.Write,
+		Workers:  workers,
+		Metrics:  reg,
+		OnRecord: sink.Record,
+		OnTrace:  sink.Trace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +35,11 @@ func runInstrumented(t *testing.T, seed int64, workers int) (counters, trace str
 			t.Fatalf("%s/%s trial %d failed: %s", rec.Technique, rec.Scenario, rec.Trial, rec.Error)
 		}
 	}
-	if err := ts.Flush(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"type":"trace"`) {
+		t.Fatal("no trace rows archived")
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	sort.Strings(lines)
@@ -60,7 +65,7 @@ func TestTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	// Spot-check that the stream actually exercised the instrumented paths.
 	for _, kind := range []string{telemetry.EvProbeSent, telemetry.EvCensorAlert, telemetry.EvMVRDiscard} {
-		if !strings.Contains(t1, `"kind":"`+kind+`"`) {
+		if !strings.Contains(t1, `"name":"`+kind+`"`) {
 			t.Errorf("trace stream has no %q events", kind)
 		}
 	}
@@ -141,24 +146,28 @@ func TestProgressTracksCells(t *testing.T) {
 	}
 }
 
-func TestTraceSinkWritesSortableLines(t *testing.T) {
+// TestObservationSinkTraceRowsCarryRunCoordinates: a staged trace lands
+// as sequence-numbered rows carrying the run's coordinates, in the same
+// batch as the run's record rows.
+func TestObservationSinkTraceRowsCarryRunCoordinates(t *testing.T) {
 	var buf bytes.Buffer
-	ts := NewTraceSink(&buf)
-	ts.Write(RunTrace{Scenario: "open", Technique: "overt-dns", Trial: 1, Events: []telemetry.Event{
-		{T: 100, Kind: telemetry.EvProbeSent, Src: "10.1.0.10", Dst: "203.0.113.53"},
-		{T: 250, Kind: telemetry.EvTTLExpiry, Detail: "edge"},
-	}})
-	if err := ts.Flush(); err != nil {
+	sink := NewObservationSink(archival.NewJSONLWriter(&buf))
+	sink.Trace(fakeTrace("open", "overt-dns", 1))
+	if buf.Len() != 0 || sink.Count() != 0 {
+		t.Fatal("a trace was written before its run's record")
+	}
+	sink.Record(fakeRecord("open", "overt-dns", 1))
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ts.Count() != 2 {
-		t.Fatalf("count = %d, want 2", ts.Count())
+	if want := 2 + len(FlattenRecord(fakeRecord("open", "overt-dns", 1))); sink.Count() != want {
+		t.Fatalf("count = %d, want %d", sink.Count(), want)
 	}
 	out := buf.String()
-	if !strings.Contains(out, `"seq":0`) || !strings.Contains(out, `"seq":1`) {
-		t.Fatalf("lines lack sequence numbers:\n%s", out)
+	if !strings.Contains(out, `"type":"trace"`) || !strings.Contains(out, `"seq":1`) {
+		t.Fatalf("trace rows lack type or sequence numbers:\n%s", out)
 	}
 	if !strings.Contains(out, `"scenario":"open"`) || !strings.Contains(out, `"technique":"overt-dns"`) {
-		t.Fatalf("lines lack run coordinates:\n%s", out)
+		t.Fatalf("trace rows lack run coordinates:\n%s", out)
 	}
 }

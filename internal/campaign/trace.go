@@ -1,12 +1,6 @@
 package campaign
 
-import (
-	"encoding/json"
-	"io"
-
-	"safemeasure/internal/archival"
-	"safemeasure/internal/telemetry"
-)
+import "safemeasure/internal/telemetry"
 
 // RunTrace is one run's packet-path event stream plus the plan coordinates
 // (and lab seed) that identify it. Events are in emission order and carry
@@ -20,78 +14,4 @@ type RunTrace struct {
 	Trial      int
 	Seed       int64
 	Events     []telemetry.Event
-}
-
-// TraceLine is the JSONL shape of one trace event: the run coordinates, the
-// event's sequence number within the run, and the event itself. Because
-// (scenario, impairment, technique, trial, seq) uniquely orders every line
-// and each run's events are deterministic, sorting a trace file's lines
-// yields a byte-identical stream for any worker count. Seed makes the line
-// joinable against records and archival observations by cell identity.
-type TraceLine struct {
-	Scenario   string `json:"scenario"`
-	Impairment string `json:"impairment,omitempty"`
-	Behavior   string `json:"behavior,omitempty"`
-	Technique  string `json:"technique"`
-	Trial      int    `json:"trial"`
-	Seed       int64  `json:"seed,omitempty"`
-	Seq        int    `json:"seq"`
-	T          int64  `json:"t"`
-	Kind       string `json:"kind"`
-	Src        string `json:"src,omitempty"`
-	Dst        string `json:"dst,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-}
-
-// TraceSink streams run traces to a writer as JSONL, one line per event.
-// Write is safe to call from multiple workers; a run's events are written
-// contiguously under the shared archival.Sink lock.
-type TraceSink struct {
-	archival.Sink
-}
-
-// NewTraceSink wraps a writer.
-func NewTraceSink(w io.Writer) *TraceSink {
-	s := &TraceSink{}
-	s.Reset(w)
-	return s
-}
-
-// SyncEvery makes the sink flush (and, on files, sync) once at least n
-// event lines accumulated since the last flush, bounding what a hard crash
-// can lose. n <= 0 restores the default (buffer until Flush).
-func (s *TraceSink) SyncEvery(n int) { s.SetSyncEvery(n) }
-
-// Instrument publishes the sink's flush/sync activity to reg as
-// campaign_sink_flush_total{sink=name} and campaign_sink_sync_total{sink=name}.
-func (s *TraceSink) Instrument(reg *telemetry.Registry, name string) {
-	s.InstrumentSink(reg, "campaign_sink_flush_total", "campaign_sink_sync_total", name)
-}
-
-// Write emits one run's events. The lines are encoded into pooled scratch
-// outside the sink lock and land as one contiguous write, so concurrent
-// workers serialize only on the final copy, not on marshaling. The first
-// encoding or I/O error is retained and reported by Flush; later writes
-// after an error are dropped.
-func (s *TraceSink) Write(rt RunTrace) {
-	if len(rt.Events) == 0 {
-		return
-	}
-	b := archival.GetBatchBuf()
-	enc := json.NewEncoder(b)
-	line := TraceLine{
-		Scenario: rt.Scenario, Impairment: rt.Impairment, Behavior: rt.Behavior,
-		Technique: rt.Technique, Trial: rt.Trial, Seed: rt.Seed,
-	}
-	for i, ev := range rt.Events {
-		line.Seq, line.T, line.Kind = i, ev.T, ev.Kind
-		line.Src, line.Dst, line.Detail = ev.Src, ev.Dst, ev.Detail
-		if err := enc.Encode(&line); err != nil {
-			s.Fail(err)
-			archival.PutBatchBuf(b)
-			return
-		}
-	}
-	s.WriteBatch(b.Bytes(), len(rt.Events))
-	archival.PutBatchBuf(b)
 }

@@ -1,17 +1,20 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"safemeasure/internal/archival"
 	"safemeasure/internal/campaign"
 )
 
@@ -78,35 +81,81 @@ func canonicalize(t *testing.T, recs []campaign.RunRecord) (jsonl, agg string) {
 	return strings.Join(lines, "\n"), campaign.Aggregate(ok).Render()
 }
 
-// resumeAndCheck finishes an interrupted campaign the way cmd/campaign
-// -resume does — tolerant read, torn-tail truncation, Remaining plan,
-// append — then asserts the three invariants: nothing lost, nothing
-// duplicated, and the final records and aggregate byte-identical to the
-// uninterrupted baseline.
-func resumeAndCheck(t *testing.T, plan *campaign.Plan, workers int, buf *bytes.Buffer,
+// newArchive creates the observation archive at path (the extension picks
+// the encoding) and returns a sink writing to it; wrap, when non-nil, sits
+// between the writer and the file — the fault-injection seam.
+func newArchive(t *testing.T, path string, wrap func(io.Writer) io.Writer) *campaign.ObservationSink {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	var w io.Writer = f
+	if wrap != nil {
+		w = wrap(f)
+	}
+	return campaign.NewObservationSink(archival.NewWriter(w, archival.FormatForPath(path)))
+}
+
+// readArchive reads every record of a finished archive.
+func readArchive(t *testing.T, path string) []campaign.RunRecord {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rd, err := archival.NewReader(f, archival.TailStrict, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []campaign.RunRecord
+	if err := campaign.ReadRecords(rd, func(rec campaign.RunRecord) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatalf("%s unreadable: %v", path, err)
+	}
+	return recs
+}
+
+// resumeOnly finishes an interrupted campaign exactly the way cmd/campaign
+// -resume does: campaign.ReadDoneFile repairs the archive (torn row, then
+// the final run group) and builds the done set, and the Remaining plan
+// appends.
+func resumeOnly(t *testing.T, plan *campaign.Plan, workers int, path string) {
+	t.Helper()
+	done, err := campaign.ReadDoneFile(path, nil)
+	if err != nil {
+		t.Fatalf("resume preparation: %v", err)
+	}
+	rest := plan.Remaining(done)
+	if len(rest.Specs) == 0 {
+		return
+	}
+	w, f, err := archival.OpenFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sink := campaign.NewObservationSink(w)
+	if _, err := campaign.Run(rest, campaign.Options{Workers: workers, OnRecord: sink.Record}); err != nil {
+		t.Fatalf("resume run: %v", err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("resume sink: %v", err)
+	}
+}
+
+// resumeAndCheck resumes an interrupted campaign (resumeOnly), then asserts
+// the three invariants: nothing lost, nothing duplicated, and the final
+// records and aggregate byte-identical to the uninterrupted baseline.
+func resumeAndCheck(t *testing.T, plan *campaign.Plan, workers int, path string,
 	wantJSONL, wantAgg string) {
 	t.Helper()
-	recs, truncateAt, err := campaign.ReadJSONLResume(bytes.NewReader(buf.Bytes()), nil)
-	if err != nil {
-		t.Fatalf("tolerant resume read: %v", err)
-	}
-	if truncateAt >= 0 {
-		buf.Truncate(int(truncateAt))
-	}
-	rest := plan.Remaining(campaign.DoneSet(recs))
-	if len(rest.Specs) > 0 {
-		sink := campaign.NewJSONLSink(buf)
-		if _, err := campaign.Run(rest, campaign.Options{Workers: workers, OnRecord: sink.Write}); err != nil {
-			t.Fatalf("resume run: %v", err)
-		}
-		if err := sink.Flush(); err != nil {
-			t.Fatalf("resume sink: %v", err)
-		}
-	}
-	final, err := campaign.ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("final file unreadable: %v", err)
-	}
+	resumeOnly(t, plan, workers, path)
+	final := readArchive(t, path)
 	gotJSONL, gotAgg := canonicalize(t, final)
 	if done := campaign.DoneSet(final); len(done) != len(plan.Specs) {
 		t.Fatalf("lost runs: %d of %d coordinates completed", len(done), len(plan.Specs))
@@ -133,18 +182,33 @@ func TestInterruptResumeInvariant(t *testing.T) {
 
 	// The baseline is computed once at workers=1; every (mode, workers,
 	// seed) cell must reproduce it, which also re-proves worker-count
-	// determinism along the way.
-	var base bytes.Buffer
-	baseSink := campaign.NewJSONLSink(&base)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: baseSink.Write})
+	// determinism along the way. Its archive sizes, one per encoding, bound
+	// the sink-failure offsets.
+	dir := t.TempDir()
+	fileSize := map[string]int64{}
+	var baseSinks []*campaign.ObservationSink
+	for _, ext := range []string{"jsonl", "bin"} {
+		baseSinks = append(baseSinks, newArchive(t, filepath.Join(dir, "base."+ext), nil))
+	}
+	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: func(rec campaign.RunRecord) {
+		for _, s := range baseSinks {
+			s.Record(rec)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := baseSink.Flush(); err != nil {
-		t.Fatal(err)
+	for i, ext := range []string{"jsonl", "bin"} {
+		if err := baseSinks[i].Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(filepath.Join(dir, "base."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileSize[ext] = st.Size()
 	}
 	wantJSONL, wantAgg := canonicalize(t, baseRecs)
-	fileSize := int64(base.Len())
 
 	points := 0
 	for _, workers := range []int{1, 8} {
@@ -157,17 +221,17 @@ func TestInterruptResumeInvariant(t *testing.T) {
 			cut := 1 + rng.Intn(nspecs)
 			points++
 			t.Run(fmt.Sprintf("cancel/workers=%d/cut=%d", workers, cut), func(t *testing.T) {
-				var buf bytes.Buffer
+				path := filepath.Join(t.TempDir(), "out.jsonl")
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				sink := campaign.NewJSONLSink(&buf)
+				sink := newArchive(t, path, nil)
 				hook := CancelAfter(cut, cancel)
 				_, err := campaign.RunContext(ctx, plan, campaign.Options{
 					Workers: workers,
 					Grace:   -1,
 					OnRecord: func(rec campaign.RunRecord) {
 						hook(rec)
-						sink.Write(rec)
+						sink.Record(rec)
 					},
 				})
 				if err != nil && !errors.Is(err, context.Canceled) {
@@ -176,33 +240,38 @@ func TestInterruptResumeInvariant(t *testing.T) {
 				if err := sink.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 
 		// Mode 2: the sink's stream dies at a seeded byte offset — hard
-		// error and torn short write. The campaign itself completes; the
-		// file loses its tail; resume must regenerate exactly the lost runs.
+		// error and torn short write, into a JSONL and a binary archive.
+		// The campaign itself completes; the file loses its tail; resume
+		// must regenerate exactly the lost runs.
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(2000 + seed))
-			failAfter := rng.Int63n(fileSize)
+			ext := []string{"jsonl", "bin"}[seed/2]
+			failAfter := rng.Int63n(fileSize[ext])
 			short := seed%2 == 1
 			points++
-			t.Run(fmt.Sprintf("sinkfail/workers=%d/at=%d/short=%v", workers, failAfter, short),
+			t.Run(fmt.Sprintf("sinkfail/workers=%d/%s/at=%d/short=%v", workers, ext, failAfter, short),
 				func(t *testing.T) {
-					var buf bytes.Buffer
-					fw := &FlakyWriter{W: &buf, FailAfter: failAfter, Short: short}
-					sink := campaign.NewJSONLSink(fw)
-					sink.SyncEvery(1) // every record hits the flaky stream immediately
+					path := filepath.Join(t.TempDir(), "out."+ext)
+					var fw *FlakyWriter
+					sink := newArchive(t, path, func(w io.Writer) io.Writer {
+						fw = &FlakyWriter{W: w, FailAfter: failAfter, Short: short}
+						return fw
+					})
+					sink.SyncEvery(1) // every run hits the flaky stream immediately
 					if _, err := campaign.Run(plan, campaign.Options{
-						Workers: workers, OnRecord: sink.Write,
+						Workers: workers, OnRecord: sink.Record,
 					}); err != nil {
 						t.Fatal(err)
 					}
 					if err := sink.Flush(); err == nil && fw.Failed() {
 						t.Fatal("sink swallowed the injected failure")
 					}
-					resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+					resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 				})
 		}
 
@@ -213,10 +282,10 @@ func TestInterruptResumeInvariant(t *testing.T) {
 			every := 1 + rng.Intn(4)
 			points++
 			t.Run(fmt.Sprintf("panic/workers=%d/every=%d", workers, every), func(t *testing.T) {
-				var buf bytes.Buffer
-				sink := campaign.NewJSONLSink(&buf)
+				path := filepath.Join(t.TempDir(), "out.jsonl")
+				sink := newArchive(t, path, nil)
 				if _, err := campaign.Run(plan, campaign.Options{
-					Workers: workers, OnRecord: sink.Write,
+					Workers: workers, OnRecord: sink.Record,
 					Execute: PanicEvery(every, nil),
 				}); err != nil {
 					t.Fatal(err)
@@ -224,7 +293,7 @@ func TestInterruptResumeInvariant(t *testing.T) {
 				if err := sink.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 
@@ -236,10 +305,10 @@ func TestInterruptResumeInvariant(t *testing.T) {
 			every := 2 + rng.Intn(3)
 			points++
 			t.Run(fmt.Sprintf("hang/workers=%d/every=%d", workers, every), func(t *testing.T) {
-				var buf bytes.Buffer
-				sink := campaign.NewJSONLSink(&buf)
+				path := filepath.Join(t.TempDir(), "out.jsonl")
+				sink := newArchive(t, path, nil)
 				if _, err := campaign.Run(plan, campaign.Options{
-					Workers: workers, OnRecord: sink.Write,
+					Workers: workers, OnRecord: sink.Record,
 					Timeout: 30 * time.Millisecond,
 					Execute: HangEvery(every, 200*time.Millisecond, nil),
 				}); err != nil {
@@ -248,7 +317,7 @@ func TestInterruptResumeInvariant(t *testing.T) {
 				if err := sink.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 	}
@@ -278,13 +347,8 @@ func TestInterruptResumeInvariantAdversarialCensor(t *testing.T) {
 		t.Fatalf("behavior sweep too small: %d specs", nspecs)
 	}
 
-	var base bytes.Buffer
-	baseSink := campaign.NewJSONLSink(&base)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: baseSink.Write})
+	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := baseSink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wantJSONL, wantAgg := canonicalize(t, baseRecs)
@@ -295,17 +359,17 @@ func TestInterruptResumeInvariantAdversarialCensor(t *testing.T) {
 			rng := rand.New(rand.NewSource(7000 + seed))
 			cut := 1 + rng.Intn(nspecs)
 			t.Run(fmt.Sprintf("cancel/workers=%d/cut=%d", workers, cut), func(t *testing.T) {
-				var buf bytes.Buffer
+				path := filepath.Join(t.TempDir(), "out.jsonl")
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				sink := campaign.NewJSONLSink(&buf)
+				sink := newArchive(t, path, nil)
 				hook := CancelAfter(cut, cancel)
 				_, err := campaign.RunContext(ctx, plan, campaign.Options{
 					Workers: workers,
 					Grace:   -1,
 					OnRecord: func(rec campaign.RunRecord) {
 						hook(rec)
-						sink.Write(rec)
+						sink.Record(rec)
 					},
 				})
 				if err != nil && !errors.Is(err, context.Canceled) {
@@ -314,7 +378,7 @@ func TestInterruptResumeInvariantAdversarialCensor(t *testing.T) {
 				if err := sink.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
 	}

@@ -1,9 +1,9 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -34,13 +34,8 @@ func supervisedPlan(t *testing.T) *campaign.Plan {
 func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 	plan := supervisedPlan(t)
 
-	var base bytes.Buffer
-	baseSink := campaign.NewJSONLSink(&base)
-	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1, OnRecord: baseSink.Write})
+	baseRecs, err := campaign.Run(plan, campaign.Options{Workers: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := baseSink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wantJSONL, wantAgg := canonicalize(t, baseRecs)
@@ -60,15 +55,15 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 		for _, mode := range modes {
 			workers, mode := workers, mode
 			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
-				var buf bytes.Buffer
-				sink := campaign.NewJSONLSink(&buf)
+				path := filepath.Join(t.TempDir(), "out.jsonl")
+				sink := newArchive(t, path, nil)
 				recs, err := campaign.Run(plan, campaign.Options{
 					Workers:  workers,
 					Timeout:  mode.timeout,
 					Grace:    -1, // drain fully: every dispatched run must settle
 					Breakers: campaign.NewBreakerSet(campaign.BreakerConfig{Consecutive: 2, Cooldown: 2}),
 					Budget:   &campaign.FailureBudget{Fraction: 0.25, MinRuns: 4},
-					OnRecord: sink.Write,
+					OnRecord: sink.Record,
 					Execute:  mode.exec(),
 				})
 				if !errors.Is(err, campaign.ErrBudgetExceeded) {
@@ -98,8 +93,60 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 				}
 				// The fault clears (resume uses the default executor); the
 				// wreck must converge to the unfaulted baseline.
-				resumeAndCheck(t, plan, workers, &buf, wantJSONL, wantAgg)
+				resumeAndCheck(t, plan, workers, path, wantJSONL, wantAgg)
 			})
 		}
+	}
+}
+
+// TestBudgetAbortResumeCountsEachRunOnce is the in-process form of the
+// budget smoke in scripts/verify.sh: a 1ns per-run timeout fails every run,
+// so the failure budget aborts the campaign with error records in the
+// archive; a resume with the default timeout re-runs them and the rest of
+// the plan. Reading the archive back must then yield exactly one record per
+// planned run and no errors — every error record was superseded by its
+// run's error-free one.
+func TestBudgetAbortResumeCountsEachRunOnce(t *testing.T) {
+	plan, err := campaign.NewPlan(campaign.PlanConfig{
+		Scenarios: []string{"dns-poison"}, Trials: 50, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "budget.jsonl")
+	sink := newArchive(t, path, nil)
+	_, err = campaign.Run(plan, campaign.Options{
+		Workers:  2,
+		Timeout:  time.Nanosecond,
+		Budget:   &campaign.FailureBudget{Fraction: 0.5},
+		OnRecord: sink.Record,
+	})
+	if !errors.Is(err, campaign.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	errs := 0
+	for _, rec := range readArchive(t, path) {
+		if rec.Error != "" {
+			errs++
+		}
+	}
+	if errs == 0 {
+		t.Fatal("the 1ns timeout archived no error records")
+	}
+
+	resumeOnly(t, plan, 2, path)
+	recs := readArchive(t, path)
+	errs = 0
+	for _, rec := range recs {
+		if rec.Error != "" {
+			errs++
+		}
+	}
+	if len(recs) != len(plan.Specs) || errs != 0 {
+		t.Fatalf("read back %d records with %d errors, want %d records and 0 errors",
+			len(recs), errs, len(plan.Specs))
 	}
 }

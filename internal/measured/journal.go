@@ -358,70 +358,17 @@ func (st *Store) pendingOrdered() []JournalEntry {
 // truncateUndoneTail cuts the archive's final run group when its cell is
 // still pending in the journal. A record's rows go down in one write(), so
 // only the file's last group can be a partial batch — and a partial batch is
-// indistinguishable from a complete one by content (a row prefix unflattens
-// to a plausible record). The journal disambiguates: the done marker is
-// written only after the full batch's write() returned, so a pending tail
-// group may be torn and is dropped whole. Its admit stays pending, so the
-// run re-executes and re-archives — a duplicate-free archive either way.
+// indistinguishable from a complete one by content. The journal
+// disambiguates: the done marker is written only after the full batch's
+// write() returned, so a pending tail group may be torn and is dropped
+// whole. Its admit stays pending, so the run re-executes and re-archives — a
+// duplicate-free archive either way.
 func (st *Store) truncateUndoneTail() error {
-	f, err := os.Open(st.archivePath)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rd, err := archival.NewReader(f, archival.TailTolerate, nil)
-	if err != nil {
-		return err
-	}
-	var tail []archival.Observation
-	for {
-		o, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if len(tail) > 0 && o.Run != tail[0].Run {
-			tail = tail[:0]
-		}
-		tail = append(tail, o)
-	}
-	if len(tail) == 0 {
-		return nil
-	}
-	key := campaign.ObservationSpec(tail[0]).CellKey()
-	if _, isPending := st.pending[key]; !isPending {
-		return nil
-	}
-	size := int64(0)
-	if info, err := f.Stat(); err == nil {
-		size = info.Size()
-	} else {
-		return err
-	}
-	// Re-encode the group to learn its byte length; both encoders are
-	// deterministic, so the re-encoding matches what was written.
-	var groupLen int64
-	if st.archiveFormat == archival.FormatBinary {
-		var scratch []byte
-		for i := range tail {
-			scratch = archival.AppendObservation(scratch[:0], &tail[i])
-			groupLen += int64(len(scratch))
-		}
-	} else {
-		for i := range tail {
-			b, err := json.Marshal(&tail[i])
-			if err != nil {
-				return err
-			}
-			groupLen += int64(len(b)) + 1
-		}
-	}
-	return os.Truncate(st.archivePath, size-groupLen)
+	_, err := archival.CutLastGroup(st.archivePath, func(o archival.Observation) bool {
+		_, pending := st.pending[campaign.ObservationSpec(o).CellKey()]
+		return pending
+	})
+	return err
 }
 
 // Pending returns the journal's admitted-but-unfinished runs in journal
@@ -693,10 +640,8 @@ func (st *Store) encodeBatch(rec campaign.RunRecord) []byte {
 	return b.Bytes()
 }
 
-// LoadArchive streams the archive's run records into fn in file order,
-// grouping rows by contiguous run ID (archives are run-contiguous: each
-// record's rows go down as one batch). Groups holding only trace or packet
-// rows are skipped — they reconstruct through their own paths. Call before
+// LoadArchive streams the archive's run records into fn through the shared
+// campaign.ReadRecords reader, returning how many it loaded. Call before
 // serving traffic: it reads the same file the store appends to.
 func (st *Store) LoadArchive(fn func(campaign.RunRecord)) (int, error) {
 	if st == nil || st.archivePath == "" {
@@ -715,45 +660,12 @@ func (st *Store) LoadArchive(fn func(campaign.RunRecord)) (int, error) {
 		return 0, err
 	}
 	loaded := 0
-	var group []archival.Observation
-	flush := func() error {
-		if len(group) == 0 {
-			return nil
-		}
-		record := false
-		for i := range group {
-			if group[i].Type != archival.TypeTrace && group[i].Type != archival.TypePacket {
-				record = true
-				break
-			}
-		}
-		if record {
-			rec, err := campaign.UnflattenRecord(group)
-			if err != nil {
-				return err
-			}
-			fn(rec)
-			loaded++
-		}
-		group = group[:0]
+	err = campaign.ReadRecords(rd, func(rec campaign.RunRecord) error {
+		fn(rec)
+		loaded++
 		return nil
-	}
-	for {
-		o, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return loaded, err
-		}
-		if len(group) > 0 && o.Run != group[0].Run {
-			if err := flush(); err != nil {
-				return loaded, err
-			}
-		}
-		group = append(group, o)
-	}
-	return loaded, flush()
+	})
+	return loaded, err
 }
 
 // Close flushes any stashed writes, fsyncs, and closes both sinks. A

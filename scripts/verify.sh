@@ -127,43 +127,63 @@ if [ "${VERIFY_SCALING:-1}" = "1" ]; then
 fi
 
 # Interrupt-then-resume smoke test: a real SIGINT against the built binary
-# must exit 130 with a valid partial file, and -resume must finish the
-# campaign to exactly the planned record count. This exercises the signal
-# handler and CLI resume path that the in-process chaos tests cannot.
+# must exit 130 with a valid partial archive, and -resume must finish the
+# campaign to exactly the planned runs: one verdict row per run, no run
+# twice, and measanalyze counting every run once with no errors. This
+# exercises the signal handler and CLI resume path (torn-row cut, final-group
+# cut, append) that the in-process chaos tests cannot, for the JSONL and the
+# binary encoding.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/campaign" ./cmd/campaign
-"$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 \
-  -out "$tmp/smoke.jsonl" -sync-every 1 &
-pid=$!
-sleep 1
-kill -INT "$pid"
-rc=0
-wait "$pid" || rc=$?
-test "$rc" -eq 130
-test -s "$tmp/smoke.jsonl"
-"$tmp/campaign" -resume -scenarios dns-poison -trials 500 -workers 2 \
-  -out "$tmp/smoke.jsonl"
-# 1 scenario x 3 techniques x 500 trials = 1500 records, every line valid JSON
-test "$(wc -l < "$tmp/smoke.jsonl")" -eq 1500
+go build -o "$tmp/measanalyze" ./cmd/measanalyze
+# verdict_runs FILE: the verdict rows of an archive (either encoding), as
+# their run IDs.
+verdict_runs() {
+  "$tmp/measanalyze" filter -type verdict "$1" 2>/dev/null | grep -o '"run":"[0-9]*"'
+}
+for ext in jsonl bin; do
+  "$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 \
+    -out "$tmp/smoke.$ext" -sync-every 1 &
+  pid=$!
+  sleep 1
+  kill -INT "$pid"
+  rc=0
+  wait "$pid" || rc=$?
+  test "$rc" -eq 130
+  test -s "$tmp/smoke.$ext"
+  "$tmp/campaign" -resume -scenarios dns-poison -trials 500 -workers 2 \
+    -out "$tmp/smoke.$ext"
+  # 1 scenario x 3 techniques x 500 trials = 1500 runs
+  test "$(verdict_runs "$tmp/smoke.$ext" | wc -l)" -eq 1500
+  test "$(verdict_runs "$tmp/smoke.$ext" | LC_ALL=C sort -u | wc -l)" -eq 1500
+  "$tmp/measanalyze" summarize "$tmp/smoke.$ext" | grep -q "1500 completed runs, 0 errors,"
+done
+# Both resumed archives hold the same rows, whatever the interrupt point.
+"$tmp/measanalyze" convert -o "$tmp/smoke.bin.jsonl" "$tmp/smoke.bin"
+LC_ALL=C sort "$tmp/smoke.jsonl" > "$tmp/smoke.sorted"
+LC_ALL=C sort "$tmp/smoke.bin.jsonl" > "$tmp/smoke.bin.sorted"
+cmp "$tmp/smoke.sorted" "$tmp/smoke.bin.sorted"
 
 # Budget-abort-then-resume smoke: a 1ns per-run timeout fails every run, so
 # the failure budget must abort the real process with exit 3 and a
-# resumable partial file; -resume with a sane timeout then re-runs the error
-# records and the rest of the plan, leaving exactly one error-free line per
-# planned run (the superseded error lines stay in the file).
+# resumable partial archive; -resume with a sane timeout then re-runs the
+# error records and the rest of the plan. The superseded error records stay
+# in the file, but every run has exactly one verdict row and measanalyze
+# counts no errors: a run's error-free record wins.
 rc=0
 "$tmp/campaign" -scenarios dns-poison -trials 50 -workers 2 -timeout 1ns \
   -fail-budget 0.5 -out "$tmp/budget.jsonl" > /dev/null 2>&1 || rc=$?
 test "$rc" -eq 3
 "$tmp/campaign" -resume -scenarios dns-poison -trials 50 -workers 2 \
-  -out "$tmp/budget.jsonl" > /dev/null
-test "$(grep -v '"error"' "$tmp/budget.jsonl" | LC_ALL=C sort -u | wc -l)" -eq 150
-test "$(grep -vc '"error"' "$tmp/budget.jsonl")" -eq 150
+  -out "$tmp/budget.jsonl" > /dev/null 2>&1
+test "$(verdict_runs "$tmp/budget.jsonl" | wc -l)" -eq 150
+test "$(verdict_runs "$tmp/budget.jsonl" | LC_ALL=C sort -u | wc -l)" -eq 150
+"$tmp/measanalyze" summarize "$tmp/budget.jsonl" | grep -q "150 completed runs, 0 errors,"
 
 # Censor-behavior determinism smoke: a campaign sweeping every adversarial
-# behavior preset must produce byte-identical sorted records at workers 1
-# and 8 — the end-to-end form of the behavior-state-is-seed-derived claim.
+# behavior preset must produce byte-identical sorted rows at workers 1 and
+# 8 — the end-to-end form of the behavior-state-is-seed-derived claim.
 "$tmp/campaign" -scenarios keyword-rst -censor-behavior all -trials 2 \
   -workers 1 -seed 5 -out "$tmp/bhv.w1.jsonl" > /dev/null
 "$tmp/campaign" -scenarios keyword-rst -censor-behavior all -trials 2 \
@@ -175,22 +195,20 @@ grep -q '"behavior":"throttle"' "$tmp/bhv.w1.jsonl"
 
 # Analysis-pipeline smoke: a second seeded campaign gives compare two real
 # 1500-run inputs; its per-cell Wilson-CI delta table must be deterministic
-# (two invocations, byte-identical output), and convert must round-trip
-# observations JSONL -> binary -> JSONL byte-identically.
-go build -o "$tmp/measanalyze" ./cmd/measanalyze
+# (two invocations, byte-identical output), and convert must round-trip the
+# campaign's own archive JSONL -> binary -> JSONL byte-identically.
 "$tmp/campaign" -scenarios dns-poison -trials 500 -workers 2 -seed 2 \
   -out "$tmp/smoke2.jsonl" > /dev/null
 "$tmp/measanalyze" compare "$tmp/smoke.jsonl" "$tmp/smoke2.jsonl" > "$tmp/cmp1.txt"
 "$tmp/measanalyze" compare "$tmp/smoke.jsonl" "$tmp/smoke2.jsonl" > "$tmp/cmp2.txt"
 diff "$tmp/cmp1.txt" "$tmp/cmp2.txt"
 grep -q "verdict" "$tmp/cmp1.txt"
-"$tmp/measanalyze" convert -o "$tmp/smoke.obs.jsonl" "$tmp/smoke.jsonl"
-"$tmp/measanalyze" convert -o "$tmp/smoke.obs.bin" "$tmp/smoke.obs.jsonl"
-"$tmp/measanalyze" convert -o "$tmp/smoke.obs2.jsonl" "$tmp/smoke.obs.bin"
-cmp "$tmp/smoke.obs.jsonl" "$tmp/smoke.obs2.jsonl"
-ls -l "$tmp/smoke.obs.jsonl" "$tmp/smoke.obs.bin"
+"$tmp/measanalyze" convert -o "$tmp/smoke.obs.bin" "$tmp/smoke.jsonl"
+"$tmp/measanalyze" convert -o "$tmp/smoke.obs.jsonl" "$tmp/smoke.obs.bin"
+cmp "$tmp/smoke.jsonl" "$tmp/smoke.obs.jsonl"
+ls -l "$tmp/smoke.jsonl" "$tmp/smoke.obs.bin" "$tmp/smoke.bin"
 # Torn-tail tolerance: summarize must stream a live-append-shaped file
-# (valid prefix + half a record) without erroring.
+# (valid prefix + half a row) without erroring.
 head -c "$(( $(wc -c < "$tmp/smoke.jsonl") - 40 ))" "$tmp/smoke.jsonl" > "$tmp/torn.jsonl"
 "$tmp/measanalyze" summarize "$tmp/torn.jsonl" > /dev/null
 # Behavior guard rails: summarize shows per-behavior marginals on a swept
