@@ -24,9 +24,10 @@
 // summarizes, compares, filters, and converts these files; safemeasured warm
 // starts from them. -trace adds each run's packet-path events (probe sent,
 // censor alert, MVR log/discard, TTL expiry, RST injection) to the run's
-// batch as trace rows with virtual-time timestamps. -metrics-addr serves
-// live Prometheus-style counters on /metrics and a JSON view of per-cell
-// campaign completion on /progress.
+// batch as trace rows with virtual-time timestamps. With -out - the summary
+// tables go to stderr, so stdout carries the archive stream alone.
+// -metrics-addr serves live Prometheus-style counters on /metrics and a JSON
+// view of per-cell campaign completion on /progress.
 //
 // Every run seed derives from -seed and the run's coordinates, so repeating
 // a campaign with a different -workers value yields identical rows (the
@@ -40,11 +41,9 @@
 // -out before appending: it cuts a torn trailing row, then always cuts the
 // final run group — the only batch a kill can leave partial, and a partial
 // batch reads as a plausible record — and re-runs it with every run not
-// yet recorded error-free.
+// yet recorded error-free. -resume needs a file -out to read.
 //
-// Supervision: -breaker N trips a per-cell circuit breaker after N
-// consecutive failed runs (skipped runs are explicit records a later
-// -resume re-runs); -fail-budget F aborts the whole campaign once more than
+// Supervision: -fail-budget F aborts the whole campaign once more than
 // fraction F of completed runs are errors, flushing the archive and exiting
 // 3 with a -resume hint. A stall watchdog dumps goroutines to stderr if no
 // run completes for 3x -timeout. Runs dispatch through campaign.Pool, the
@@ -103,7 +102,6 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "wall-clock budget per run")
 	grace := flag.Duration("grace", 10*time.Second, "drain budget for in-flight runs after an interrupt (negative waits forever)")
 	syncEvery := flag.Int("sync-every", 64, "flush+fsync the archive every N runs so a hard crash loses at most N (0 buffers until exit)")
-	breakerN := flag.Int("breaker", 0, "per-cell circuit breaker: open after N consecutive failed runs, skip during cooldown, half-open probe (0 disables)")
 	failBudget := flag.Float64("fail-budget", -1, "abort the campaign when more than this fraction of completed runs are errors (negative disables)")
 	resume := flag.Bool("resume", false, "repair -out, skip the runs it holds error-free, and append")
 	list := flag.Bool("list", false, "list scenarios and techniques, then exit")
@@ -117,6 +115,10 @@ func main() {
 	}
 	if *trace && *out == "" {
 		fmt.Fprintln(os.Stderr, "campaign: -trace adds rows to -out; set -out")
+		os.Exit(2)
+	}
+	if *resume && (*out == "" || *out == "-") {
+		fmt.Fprintln(os.Stderr, "campaign: -resume needs -out FILE")
 		os.Exit(2)
 	}
 
@@ -182,11 +184,6 @@ func main() {
 	retry.Corroborate = *corroborate
 	opts := campaign.Options{Workers: *workers, Timeout: *timeout, Grace: *grace, Retry: retry,
 		StallDump: os.Stderr}
-	var breakers *campaign.BreakerSet
-	if *breakerN > 0 {
-		breakers = campaign.NewBreakerSet(campaign.BreakerConfig{Consecutive: *breakerN})
-		opts.Breakers = breakers
-	}
 	if *failBudget >= 0 {
 		opts.Budget = &campaign.FailureBudget{Fraction: *failBudget}
 	}
@@ -228,7 +225,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		prog = campaign.NewProgress(plan)
-		prog.Breakers(breakers)
 		if *profContention {
 			// 1-in-5 mutex events, blocking >= 100µs: cheap enough to leave
 			// on for a whole campaign, detailed enough to rank hot locks.
@@ -347,13 +343,18 @@ func main() {
 	}
 	shutdownMetrics()
 
+	// With -out - stdout is the archive stream; the report must not mix in.
+	report := os.Stdout
+	if *out == "-" {
+		report = os.Stderr
+	}
 	sum := campaign.Aggregate(recs)
-	fmt.Println(sum.Render())
-	fmt.Printf("executed %d/%d runs with %d workers in %v (%.1f runs/s)\n",
+	fmt.Fprintln(report, sum.Render())
+	fmt.Fprintf(report, "executed %d/%d runs with %d workers in %v (%.1f runs/s)\n",
 		len(recs), planned, *workers, elapsed.Round(time.Millisecond),
 		float64(len(recs))/elapsed.Seconds())
 	if *out != "" && *out != "-" {
-		fmt.Printf("%d observation rows appended to %s\n", sink.Count(), *out)
+		fmt.Fprintf(report, "%d observation rows appended to %s\n", sink.Count(), *out)
 	}
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "campaign: interrupted after %d/%d runs; archive flushed", len(recs), len(plan.Specs))

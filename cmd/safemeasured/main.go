@@ -10,7 +10,7 @@
 //	safemeasured -addr 127.0.0.1:8080 -workers 8
 //	safemeasured -addr 127.0.0.1:0 -addr-file /tmp/addr   # ephemeral port
 //	safemeasured -rate 100 -burst 200 -queue 4096 -cache-max 100000
-//	safemeasured -breaker 5 -fail-budget 0.5              # supervision
+//	safemeasured -fail-budget 0.5                         # failure budget
 //	safemeasured -journal /var/lib/sm/wal -archive /var/lib/sm/obs.jsonl
 //
 // Endpoints:
@@ -70,7 +70,6 @@ func main() {
 	burst := flag.Int("burst", measured.DefaultBurst, "per-client rate-limit burst")
 	cacheMax := flag.Int("cache-max", measured.DefaultCacheMax, "result cache capacity (records); negative disables caching")
 	maxRuns := flag.Int("max-runs", measured.DefaultMaxRunsPerRequest, "max runs one request may expand into")
-	breakerN := flag.Int("breaker", 0, "per-cell circuit breaker: open after N consecutive failed runs (0 disables)")
 	failBudget := flag.Float64("fail-budget", -1, "degrade the service when more than this fraction of completed runs are errors (negative disables)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a shutdown lets admitted runs and open streams finish")
 	lbGrace := flag.Duration("lb-grace", 0, "after /readyz flips 503 on shutdown, keep serving this long so load balancers observe not-ready before the listener closes")
@@ -108,9 +107,6 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 		StreamBuf:         *streamBuf,
 		Metrics:           reg,
-	}
-	if *breakerN > 0 {
-		cfg.Breaker = campaign.BreakerConfig{Consecutive: *breakerN}
 	}
 	if *failBudget >= 0 {
 		cfg.Budget = &campaign.FailureBudget{Fraction: *failBudget}

@@ -21,8 +21,7 @@ type Cell struct {
 	Stealth    bool
 
 	Runs         int // completed runs (errors excluded)
-	Errors       int // failed runs, including breaker skips
-	Skipped      int // runs an open circuit breaker shed (subset of Errors)
+	Errors       int // failed runs
 	Correct      int // verdict matched the scenario's ground truth
 	Inconclusive int // tri-state middle: refused to call loss vs blocking
 	Flagged      int // analyst flagged the measurer
@@ -112,7 +111,6 @@ type Summary struct {
 	Behaviors      []BehaviorTotals   // sorted by name, faithful first
 	Overt, Stealth KindTotals
 	Runs, Errors   int
-	Skipped        int // breaker-skipped runs (subset of Errors)
 }
 
 // Aggregate folds run records into per-cell, per-impairment, and per-family
@@ -142,10 +140,6 @@ func Aggregate(recs []RunRecord) *Summary {
 		}
 		sum.Runs++
 		if r.Error != "" {
-			if IsBreakerSkip(r) {
-				c.Skipped++
-				sum.Skipped++
-			}
 			c.Errors++
 			im.Errors++
 			bh.Errors++
@@ -245,11 +239,7 @@ func behaviorLabel(name string) string {
 // Render prints the campaign matrix and the overt-vs-stealth headline.
 func (s *Summary) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "campaign summary — %d runs (%d errors", s.Runs, s.Errors)
-	if s.Skipped > 0 {
-		fmt.Fprintf(&b, ", %d breaker-skipped", s.Skipped)
-	}
-	b.WriteString(")\n\n")
+	fmt.Fprintf(&b, "campaign summary — %d runs (%d errors)\n\n", s.Runs, s.Errors)
 	t := stats.NewTable("scenario", "impair", "behav", "technique", "kind", "runs", "accuracy",
 		"acc-95ci", "inconcl", "mvr-evasion", "flag-rate", "mean-score", "attempts", "virt-ms")
 	for _, c := range s.Cells {

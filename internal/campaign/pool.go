@@ -32,14 +32,15 @@ type Executor func(spec RunSpec, horizon time.Duration, claim func() bool) RunRe
 var ErrPoolClosed = errors.New("campaign: pool closed")
 
 // errPoolDraining marks records of specs that were queued when shutdown
-// abandoned the drain — explicit, like breaker skips, so callers can tell
-// "never ran" from "ran and failed".
+// abandoned the drain — an explicit record, so a spec that was dispatched
+// never vanishes silently and callers can tell "never ran" from "ran and
+// failed".
 var errPoolDraining = errors.New("skipped: pool draining")
 
 // Options parameterizes a Pool, and Run/RunContext, which feed a plan
-// through one. Budget, StallAfter, StallDump and OnRecord are per-campaign
-// and only RunContext reads them; a Pool returns each record to its
-// submitter instead.
+// through one. Budget, StallDump and OnRecord are per-campaign and only
+// RunContext reads them; a Pool returns each record to its submitter
+// instead.
 type Options struct {
 	// Workers bounds concurrency; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -60,24 +61,15 @@ type Options struct {
 	// value means core.DefaultRetryPolicy(). core.SingleShot() reproduces
 	// the pre-resilience scoring.
 	Retry core.RetryPolicy
-	// Breakers, when set, gates every run through a per-cell circuit
-	// breaker: a cell whose runs keep failing is skipped (explicit
-	// BreakerOpenError records, so resume and aggregates stay exact) until
-	// a half-open probe succeeds. nil runs everything.
-	Breakers *BreakerSet
 	// Budget, when set, aborts the campaign once the error fraction of
 	// completed runs exceeds Budget.Fraction: dispatch stops, in-flight
 	// runs drain within Grace, and RunContext returns the plan-ordered
 	// partial records with ErrBudgetExceeded. nil never aborts.
 	Budget *FailureBudget
-	// StallAfter arms the stall watchdog: if no run completes for this
-	// long while the campaign is mid-flight, campaign_watchdog_stalls_total
-	// increments and a goroutine dump is written to StallDump for
-	// diagnosis. 0 derives DefaultStallFactor× the run timeout (when the
-	// timeout is active); negative disables the watchdog.
-	StallAfter time.Duration
-	// StallDump receives the watchdog's goroutine dump; nil keeps just the
-	// counter.
+	// StallDump receives the stall watchdog's goroutine dump; nil keeps
+	// just the campaign_watchdog_stalls_total counter. The watchdog fires
+	// when no run completes for DefaultStallFactor× the run timeout while
+	// the campaign is mid-flight; a negative timeout disables it.
 	StallDump io.Writer
 	// OnRecord, when set, receives every record as its run completes —
 	// typically an ObservationSink's Record. It may be called from multiple
@@ -158,11 +150,10 @@ func (opts Options) defaultExecutor(guard func(kind string, f func())) Executor 
 
 // Pool is the one campaign dispatcher: a bounded set of workers executing
 // RunSpecs with per-run wall-clock timeout, panic recovery, the
-// abandoned-run claim gate, staged telemetry merged only on claim, and
-// per-cell breakers when configured. Both modes run on it. RunContext feeds
-// a whole plan into a private Pool and drains it; the measured service keeps
-// one Pool for its lifetime, and many submitters share its workers through
-// Do until Shutdown.
+// abandoned-run claim gate, and staged telemetry merged only on claim. Both
+// modes run on it. RunContext feeds a whole plan into a private Pool and
+// drains it; the measured service keeps one Pool for its lifetime, and many
+// submitters share its workers through Do until Shutdown.
 type Pool struct {
 	opts     Options // defaults resolved by NewPool
 	execute  Executor
@@ -221,7 +212,6 @@ func NewPool(opts Options) *Pool {
 	if p.execute == nil {
 		p.execute = opts.defaultExecutor(p.guard)
 	}
-	opts.Breakers.instrument(opts.Metrics)
 	for w := 0; w < opts.Workers; w++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -237,24 +227,16 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for job := range p.jobs {
 		var rec RunRecord
-		allow, probe := p.opts.Breakers.Allow(job.spec)
-		switch {
-		case p.ctx.Err() != nil:
+		if p.ctx.Err() != nil {
 			// Shutdown abandoned the drain: fast-fail whatever is still
 			// queued instead of burning the grace per job.
 			rec = ErrorRecord(job.spec, errPoolDraining)
-		case !allow:
-			// Skipped by an open breaker: an explicit error record with no
-			// execution, so the sink, aggregates, and a later -resume all
-			// see exactly which runs were shed.
-			rec = ErrorRecord(job.spec, errBreakerOpen)
-		default:
+		} else {
 			p.inflight.Add(1)
 			start := time.Now()
 			rec = runGuarded(job.ctx, job.spec, p.execute, p.opts.Horizon, p.opts.Timeout, p.opts.Grace)
 			p.wallHist.Observe(time.Since(start).Seconds())
 			p.inflight.Add(-1)
-			p.opts.Breakers.Record(job.spec, rec.Error != "", probe)
 		}
 		accountRun(p.opts.Metrics, job.spec, rec, p.virtHist)
 		job.done(job.spec, rec)

@@ -6,10 +6,8 @@ import (
 )
 
 // CellProgress is the live completion state of one (scenario, impairment,
-// technique) cell of the campaign matrix. Errors counts runs that executed
-// and failed; Skipped counts runs an open circuit breaker shed without
-// executing (their records carry BreakerOpenError), so a glance at /progress
-// distinguishes a cell that is failing from one that has been tripped.
+// technique) cell of the campaign matrix. Errors counts runs that ended in
+// an error record.
 type CellProgress struct {
 	Scenario   string `json:"scenario"`
 	Impairment string `json:"impairment,omitempty"`
@@ -18,11 +16,6 @@ type CellProgress struct {
 	Done       int    `json:"done"`
 	Correct    int    `json:"correct"`
 	Errors     int    `json:"errors"`
-	Skipped    int    `json:"skipped,omitempty"`
-	// Breaker is the cell's live circuit-breaker state ("open",
-	// "half-open"); empty when no breaker is attached or the breaker is
-	// closed.
-	Breaker string `json:"breaker,omitempty"`
 }
 
 // ProgressSnapshot is a point-in-time view of campaign completion, the JSON
@@ -31,20 +24,17 @@ type ProgressSnapshot struct {
 	Planned int            `json:"planned"`
 	Done    int            `json:"done"`
 	Errors  int            `json:"errors"`
-	Skipped int            `json:"skipped,omitempty"`
 	Cells   []CellProgress `json:"cells"`
 }
 
 // Progress tracks live campaign completion per cell. Record is safe to call
 // from multiple workers; wire it into Options.OnRecord alongside the sink.
 type Progress struct {
-	mu       sync.Mutex
-	cells    map[[3]string]*CellProgress
-	total    int
-	done     int
-	errs     int
-	skipped  int
-	breakers *BreakerSet
+	mu    sync.Mutex
+	cells map[[3]string]*CellProgress
+	total int
+	done  int
+	errs  int
 }
 
 // NewProgress enumerates the plan's cells so the snapshot shows planned
@@ -68,15 +58,6 @@ func NewProgress(plan *Plan) *Progress {
 	return p
 }
 
-// Breakers attaches the campaign's breaker set so snapshots annotate each
-// cell with its live breaker state. Share the same set with
-// Options.Breakers; nil detaches.
-func (p *Progress) Breakers(bs *BreakerSet) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.breakers = bs
-}
-
 // Record folds one completed run into the progress state.
 func (p *Progress) Record(rec RunRecord) {
 	p.mu.Lock()
@@ -90,9 +71,6 @@ func (p *Progress) Record(rec RunRecord) {
 	}
 	c.Done++
 	switch {
-	case IsBreakerSkip(rec):
-		c.Skipped++
-		p.skipped++
 	case rec.Error != "":
 		c.Errors++
 		p.errs++
@@ -105,13 +83,9 @@ func (p *Progress) Record(rec RunRecord) {
 func (p *Progress) Snapshot() ProgressSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := ProgressSnapshot{Planned: p.total, Done: p.done, Errors: p.errs, Skipped: p.skipped}
+	s := ProgressSnapshot{Planned: p.total, Done: p.done, Errors: p.errs}
 	for _, c := range p.cells {
-		cell := *c
-		if state := p.breakers.State(cell.Scenario, cell.Impairment, cell.Technique); state != BreakerClosed {
-			cell.Breaker = state.String()
-		}
-		s.Cells = append(s.Cells, cell)
+		s.Cells = append(s.Cells, *c)
 	}
 	sort.Slice(s.Cells, func(i, j int) bool {
 		a, b := s.Cells[i], s.Cells[j]

@@ -30,11 +30,10 @@ const DefaultBudgetMinRuns = 8
 // to stop, flush, and leave a resumable file.
 type FailureBudget struct {
 	// Fraction is the error fraction of completed runs allowed before the
-	// campaign aborts. Breaker skips count toward neither side: a skipped
-	// run spent no budget and took no risk.
+	// campaign aborts.
 	Fraction float64
-	// MinRuns is how many runs must complete (skips excluded) before the
-	// budget is enforced; 0 means DefaultBudgetMinRuns.
+	// MinRuns is how many runs must complete before the budget is
+	// enforced; 0 means DefaultBudgetMinRuns.
 	MinRuns int
 }
 
@@ -82,7 +81,7 @@ func (b *budgetState) snapshot() (completed, errs int, tripped bool) {
 }
 
 // DefaultStallFactor sets the stall watchdog threshold to this multiple of
-// the per-run timeout when Options.StallAfter is 0.
+// the per-run timeout.
 const DefaultStallFactor = 3
 
 // Run shards the plan across a bounded worker pool and returns every record
@@ -129,7 +128,7 @@ func RunContext(ctx context.Context, plan *Plan, opts Options) ([]RunRecord, err
 
 	records := make([]RunRecord, len(plan.Specs))
 	done := func(spec RunSpec, rec RunRecord) {
-		if budget != nil && !IsBreakerSkip(rec) && budget.observe(rec.Error != "") {
+		if budget != nil && budget.observe(rec.Error != "") {
 			budgetTrips.Inc()
 			abort()
 		}
@@ -190,15 +189,13 @@ func RunContext(ctx context.Context, plan *Plan, opts Options) ([]RunRecord, err
 // completed for the stall threshold while the campaign is still mid-flight —
 // the signature of every worker wedged at once (or a deadlock this layer
 // introduced), which per-run timeouts alone cannot distinguish from slow
-// progress. opts carries the pool's resolved timeout.
+// progress. opts carries the pool's resolved timeout; a negative timeout
+// disables the watchdog.
 func watchStalls(opts Options, lastDone *atomic.Int64) (stop func()) {
-	stallAfter := opts.StallAfter
-	if stallAfter == 0 && opts.Timeout > 0 {
-		stallAfter = DefaultStallFactor * opts.Timeout
-	}
-	if stallAfter <= 0 {
+	if opts.Timeout <= 0 {
 		return func() {}
 	}
+	stallAfter := DefaultStallFactor * opts.Timeout
 	stalls := opts.Metrics.Counter("campaign_watchdog_stalls_total")
 	quit := make(chan struct{})
 	exited := make(chan struct{})

@@ -135,30 +135,6 @@ func TestPoolShutdownAbandonsOnExpiredContext(t *testing.T) {
 	close(block) // release the wedged goroutine
 }
 
-func TestPoolBreakerShedsFailingCell(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := NewPool(Options{
-		Workers:  1,
-		Metrics:  reg,
-		Breakers: NewBreakerSet(BreakerConfig{Consecutive: 2}),
-		Execute:  failingStub(),
-	})
-	defer p.Shutdown(context.Background())
-	var skips int
-	for i := 0; i < 6; i++ {
-		rec, err := p.Do(context.Background(), poolSpec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if IsBreakerSkip(rec) {
-			skips++
-		}
-	}
-	if skips == 0 {
-		t.Fatal("breaker never opened after consecutive failures")
-	}
-}
-
 // TestPoolDoCanceledContextRunsNothing: a submitter whose context is already
 // done must never dispatch, even when a worker is idle — a bare select
 // between the two ready cases would pick the send about half the time.

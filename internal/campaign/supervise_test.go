@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,74 +106,22 @@ func TestFailureBudgetToleratesErrorsWithinBudget(t *testing.T) {
 	}
 }
 
-// TestBreakerSkipsDoNotSpendBudget pins the interaction contract: runs an
-// open breaker sheds are excluded from the failure-budget fraction on both
-// sides, so a tripped breaker starves the budget of observations instead of
-// spending it.
-func TestBreakerSkipsDoNotSpendBudget(t *testing.T) {
-	p := smallPlan(t, 23) // 3 cells x 2 trials
-	recs, err := Run(p, Options{
-		Workers:  1,
-		Breakers: NewBreakerSet(BreakerConfig{Consecutive: 1, Cooldown: 100}),
-		// Fraction 0 with MinRuns 4: a fourth *executed* failure would abort,
-		// but each cell's breaker opens after its first failure, so only 3
-		// runs ever execute and the budget never has enough evidence.
-		Budget:  &FailureBudget{Fraction: 0, MinRuns: 4},
-		Execute: failingStub(),
-	})
-	if err != nil {
-		t.Fatalf("breaker skips spent the failure budget: %v", err)
-	}
-	var skips, executed int
-	for _, rec := range recs {
-		if IsBreakerSkip(rec) {
-			skips++
-		} else if rec.Error != "" {
-			executed++
-		}
-	}
-	if executed != 3 || skips != 3 {
-		t.Fatalf("executed=%d skips=%d, want 3 and 3", executed, skips)
-	}
-}
-
-// TestBreakerSkipRecordsResume pins that skip records are re-run on resume
-// like any other error record, so shedding never loses coverage.
-func TestBreakerSkipRecordsResume(t *testing.T) {
-	p := smallPlan(t, 24)
-	recs, err := Run(p, Options{
-		Workers:  1,
-		Breakers: NewBreakerSet(BreakerConfig{Consecutive: 1, Cooldown: 100}),
-		Execute:  failingStub(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest := p.Remaining(DoneSet(recs))
-	if len(rest.Specs) != len(p.Specs) {
-		t.Fatalf("resume re-runs %d of %d specs; error and skip records must all requeue",
-			len(rest.Specs), len(p.Specs))
-	}
-}
-
+// TestWatchdogFiresOnStall wedges the one stage a per-run timeout does not
+// cover: the run itself finishes well inside its 20ms timeout, but the
+// record callback (a sink stuck on its writer) blocks for 500ms, so no
+// further run completes and the watchdog — at DefaultStallFactor× the
+// timeout — must report the stall.
 func TestWatchdogFiresOnStall(t *testing.T) {
 	p := smallPlan(t, 33).Filter(func(s RunSpec) bool { return s.Index == 0 })
 	reg := telemetry.NewRegistry()
 	var dump bytes.Buffer
 	recs, err := Run(p, Options{
-		Workers:    1,
-		Timeout:    -1, // no per-run timeout: the watchdog is the only sentinel
-		StallAfter: 30 * time.Millisecond,
-		StallDump:  &dump,
-		Metrics:    reg,
-		Execute: func(spec RunSpec, _ time.Duration, claim func() bool) RunRecord {
-			time.Sleep(250 * time.Millisecond) // a silent, wedged campaign
-			rec := RunRecord{Scenario: spec.Scenario, Trial: spec.Trial}
-			rec.Technique = spec.Technique
-			rec.Seed = spec.Seed
-			claim()
-			return rec
-		},
+		Workers:   1,
+		Timeout:   20 * time.Millisecond,
+		StallDump: &dump,
+		Metrics:   reg,
+		Execute:   failingStub("no-such"),
+		OnRecord:  func(RunRecord) { time.Sleep(500 * time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,10 +142,9 @@ func TestWatchdogQuietOnHealthyCampaign(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var dump bytes.Buffer
 	if _, err := Run(smallPlan(t, 34), Options{
-		Workers:    2,
-		StallAfter: 10 * time.Second,
-		StallDump:  &dump,
-		Metrics:    reg,
+		Workers:   2,
+		StallDump: &dump,
+		Metrics:   reg,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -207,26 +156,51 @@ func TestWatchdogQuietOnHealthyCampaign(t *testing.T) {
 	}
 }
 
-// TestSupervisedProgressDeterministicAcrossWorkerCounts is the /progress
-// satellite check: per-cell error and skip counts in the snapshot are
-// scheduling-independent, so the JSON-marshaled snapshot is byte-identical at
-// workers 1 and 8.
+// TestSupervisedProgressDeterministicAcrossWorkerCounts pins the invariant
+// every supervision mechanism must keep: with a sick cell (every spam run
+// executes, then fails) and an armed failure budget that does not trip, the
+// streamed record set, its aggregate, and the /progress snapshot are
+// byte-identical at workers 1, 2 and 8. Nothing may shed or reorder work
+// by scheduling.
 func TestSupervisedProgressDeterministicAcrossWorkerCounts(t *testing.T) {
-	var snapshots []string
-	for _, workers := range []int{1, 8} {
+	sickSpam := func(spec RunSpec, horizon time.Duration, claim func() bool) RunRecord {
+		rec := Execute(spec, horizon)
+		claim()
+		if spec.Technique == "spam" {
+			return ErrorRecord(spec, errors.New("stub: vantage dead"))
+		}
+		return rec
+	}
+	var outputs []string
+	for _, workers := range []int{1, 2, 8} {
 		p := smallPlan(t, 35)
 		prog := NewProgress(p)
+		var mu sync.Mutex
+		var lines []string
 		recs, err := Run(p, Options{
-			Workers:  workers,
-			OnRecord: prog.Record,
-			Execute:  failingStub("spam"),
+			Workers: workers,
+			// The worst transient (both spam failures among the first four
+			// completions) is exactly 0.5: armed, but within budget.
+			Budget:  &FailureBudget{Fraction: 0.5, MinRuns: 4},
+			Execute: sickSpam,
+			OnRecord: func(rec RunRecord) {
+				prog.Record(rec)
+				raw, err := json.Marshal(rec)
+				if err != nil {
+					panic(err)
+				}
+				mu.Lock()
+				lines = append(lines, string(raw))
+				mu.Unlock()
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap := prog.Snapshot()
-		if snap.Done != len(recs) || snap.Planned != len(p.Specs) {
-			t.Fatalf("workers=%d: snapshot %+v vs %d records", workers, snap, len(recs))
+		if snap.Done != len(recs) || snap.Planned != len(p.Specs) || len(lines) != len(p.Specs) {
+			t.Fatalf("workers=%d: snapshot %+v, %d streamed, %d returned records",
+				workers, snap, len(lines), len(recs))
 		}
 		if snap.Errors != 2 {
 			t.Fatalf("workers=%d: errors = %d, want 2 (both spam trials)", workers, snap.Errors)
@@ -235,48 +209,14 @@ func TestSupervisedProgressDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snapshots = append(snapshots, string(raw))
+		sort.Strings(lines)
+		outputs = append(outputs, strings.Join(lines, "\n")+"\n"+Aggregate(recs).Render()+string(raw))
 	}
-	if snapshots[0] != snapshots[1] {
-		t.Fatalf("progress snapshot diverges across worker counts:\n%s\nvs\n%s",
-			snapshots[0], snapshots[1])
-	}
-}
-
-// TestProgressSurfacesBreakerState pins the /progress annotation: a tripped
-// cell shows its skip count and live breaker state; healthy cells show
-// neither.
-func TestProgressSurfacesBreakerState(t *testing.T) {
-	p := smallPlan(t, 36)
-	bs := NewBreakerSet(BreakerConfig{Consecutive: 1, Cooldown: 100})
-	prog := NewProgress(p)
-	prog.Breakers(bs)
-	if _, err := Run(p, Options{
-		Workers:  1,
-		Breakers: bs,
-		OnRecord: prog.Record,
-		Execute:  failingStub("spam"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap := prog.Snapshot()
-	if snap.Skipped != 1 {
-		t.Fatalf("snapshot skipped = %d, want 1 (second spam trial shed)", snap.Skipped)
-	}
-	var spam, healthy *CellProgress
-	for i := range snap.Cells {
-		switch snap.Cells[i].Technique {
-		case "spam":
-			spam = &snap.Cells[i]
-		default:
-			healthy = &snap.Cells[i]
+	for i, workers := range []int{2, 8} {
+		if outputs[i+1] != outputs[0] {
+			t.Fatalf("records, aggregate or progress diverge at workers=%d:\n%s\nvs workers=1:\n%s",
+				workers, outputs[i+1], outputs[0])
 		}
-	}
-	if spam == nil || spam.Breaker != "open" || spam.Skipped != 1 || spam.Errors != 1 {
-		t.Fatalf("spam cell = %+v, want open breaker with 1 error + 1 skip", spam)
-	}
-	if healthy == nil || healthy.Breaker != "" || healthy.Skipped != 0 {
-		t.Fatalf("healthy cell mislabeled: %+v", healthy)
 	}
 }
 

@@ -25,12 +25,12 @@ func supervisedPlan(t *testing.T) *campaign.Plan {
 }
 
 // TestSupervisedBudgetAbortResumeInvariant is the supervision acceptance
-// check: with per-cell breakers AND a failure budget armed, seeded panic and
-// hang faults at workers 1 and 8 must (a) never deadlock the pool, (b) abort
-// the campaign with ErrBudgetExceeded, and (c) leave a partial file that
-// -resume completes — once the fault clears — to the byte-identical sorted
-// record set and aggregate of an unfaulted, unsupervised run. Run under
-// -race: abort, drain, breaker bookkeeping, and the claim gate all race.
+// check: with the failure budget armed, seeded panic and hang faults at
+// workers 1 and 8 must (a) never deadlock the pool, (b) abort the campaign
+// with ErrBudgetExceeded, and (c) leave a partial file that -resume
+// completes — once the fault clears — to the byte-identical sorted record
+// set and aggregate of an unfaulted, unsupervised run. Run under -race:
+// abort, drain, and the claim gate all race.
 func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 	plan := supervisedPlan(t)
 
@@ -61,7 +61,6 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 					Workers:  workers,
 					Timeout:  mode.timeout,
 					Grace:    -1, // drain fully: every dispatched run must settle
-					Breakers: campaign.NewBreakerSet(campaign.BreakerConfig{Consecutive: 2, Cooldown: 2}),
 					Budget:   &campaign.FailureBudget{Fraction: 0.25, MinRuns: 4},
 					OnRecord: sink.Record,
 					Execute:  mode.exec(),
@@ -72,24 +71,18 @@ func TestSupervisedBudgetAbortResumeInvariant(t *testing.T) {
 				if err := sink.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				// Every partial record keeps its coordinates, and skips are
-				// exactly the breaker's explicit shed markers.
-				executed := 0
+				// Every partial record keeps its coordinates, and every one
+				// is a run that executed: nothing sheds work but the budget.
 				for _, rec := range recs {
 					if rec.Technique == "" || rec.Scenario == "" {
 						t.Fatalf("partial record lost coordinates: %+v", rec)
 					}
-					if !campaign.IsBreakerSkip(rec) {
-						executed++
-					}
 				}
-				if workers == 1 {
-					// Sequential dispatch: the budget trips at the 4th
-					// executed run (2 faults in 4); at most one more spec can
-					// win the dispatch race before the abort lands.
-					if executed > 6 {
-						t.Fatalf("abort dispatched %d executed runs, want <= 6", executed)
-					}
+				// Sequential dispatch: the budget trips at the 4th executed
+				// run (2 faults in 4); at most one more spec can win the
+				// dispatch race before the abort lands.
+				if executed := len(recs); workers == 1 && executed > 6 {
+					t.Fatalf("abort dispatched %d executed runs, want <= 6", executed)
 				}
 				// The fault clears (resume uses the default executor); the
 				// wreck must converge to the unfaulted baseline.

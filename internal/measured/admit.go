@@ -275,16 +275,14 @@ func (s *Service) complete(fl *flight, rec campaign.RunRecord) {
 		s.cache.put(fl.spec.CellKey(), line, rec)
 		s.cacheSize.Set(int64(s.cache.len()))
 	}
-	if !campaign.IsBreakerSkip(rec) {
-		s.budgetCompleted++
-		if rec.Error != "" {
-			s.budgetErrors++
-		}
-		if b := s.cfg.Budget; b != nil && !s.degraded && b.Exceeded(s.budgetCompleted, s.budgetErrors) {
-			s.degraded = true
-			s.degradedG.Set(1)
-			s.budgetTrips.Inc()
-		}
+	s.budgetCompleted++
+	if rec.Error != "" {
+		s.budgetErrors++
+	}
+	if b := s.cfg.Budget; b != nil && !s.degraded && b.Exceeded(s.budgetCompleted, s.budgetErrors) {
+		s.degraded = true
+		s.degradedG.Set(1)
+		s.budgetTrips.Inc()
 	}
 	s.mu.Unlock()
 	fl.line = line

@@ -22,8 +22,8 @@
 //	    are joined, never duplicated.
 //	  - Schedule: admitted runs queue per client and a round-robin scheduler
 //	    dispatches them onto the persistent campaign.Pool, so a heavy client
-//	    cannot starve light ones; per-cell circuit breakers and the service
-//	    failure budget are shared service-wide, not per request.
+//	    cannot starve light ones; the failure budget is shared service-wide,
+//	    not per request.
 //	  - Stream: records flow back as NDJSON in trial order as runs complete,
 //	    terminated by one aggregate frame.
 package measured
@@ -94,11 +94,8 @@ type Config struct {
 	// MaxRunsPerRequest bounds how many runs one request may expand into;
 	// 0 means DefaultMaxRunsPerRequest.
 	MaxRunsPerRequest int
-	// Breaker, when non-zero, installs service-wide per-cell circuit
-	// breakers on the pool (shared across every client's requests).
-	Breaker campaign.BreakerConfig
 	// Budget, when set, is the service-wide failure budget: once more than
-	// Budget.Fraction of completed runs (breaker skips excluded) have
+	// Budget.Fraction of completed runs have
 	// errored, the service degrades — /readyz goes 503 and new requests
 	// are rejected — until an operator restarts it. Per service, not per
 	// request: one sick backend should stop admitting everyone's traffic.
@@ -159,7 +156,7 @@ type Service struct {
 	queued     int
 	draining   bool
 	degraded   bool
-	// service failure budget (breaker skips excluded, like RunContext)
+	// service failure budget, counted like RunContext's
 	budgetCompleted int
 	budgetErrors    int
 
@@ -220,19 +217,14 @@ func New(cfg Config) *Service {
 	if streamBuf <= 0 {
 		streamBuf = DefaultStreamBuf
 	}
-	var breakers *campaign.BreakerSet
-	if cfg.Breaker != (campaign.BreakerConfig{}) {
-		breakers = campaign.NewBreakerSet(cfg.Breaker)
-	}
 	pool := campaign.NewPool(campaign.Options{
-		Workers:  cfg.Workers,
-		Timeout:  cfg.Timeout,
-		Grace:    cfg.Grace,
-		Horizon:  cfg.Horizon,
-		Retry:    cfg.Retry,
-		Breakers: breakers,
-		Metrics:  cfg.Metrics,
-		Execute:  cfg.Execute,
+		Workers: cfg.Workers,
+		Timeout: cfg.Timeout,
+		Grace:   cfg.Grace,
+		Horizon: cfg.Horizon,
+		Retry:   cfg.Retry,
+		Metrics: cfg.Metrics,
+		Execute: cfg.Execute,
 	})
 	s := &Service{
 		cfg:          cfg,

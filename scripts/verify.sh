@@ -181,6 +181,16 @@ test "$(verdict_runs "$tmp/budget.jsonl" | wc -l)" -eq 150
 test "$(verdict_runs "$tmp/budget.jsonl" | LC_ALL=C sort -u | wc -l)" -eq 150
 "$tmp/measanalyze" summarize "$tmp/budget.jsonl" | grep -q "150 completed runs, 0 errors,"
 
+# Stdout-archive smoke: with -out - stdout is the archive stream alone (the
+# summary goes to stderr), so measanalyze must parse it whole.
+"$tmp/campaign" -scenarios open -techniques overt-dns -trials 2 \
+  -out - > "$tmp/stdout.jsonl" 2>/dev/null
+"$tmp/measanalyze" summarize "$tmp/stdout.jsonl" | grep -q "completed runs, 0 errors,"
+# -resume reads the archive it appends to, so stdout cannot be resumed.
+rc=0
+"$tmp/campaign" -resume -out - -scenarios open -trials 1 > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
+
 # Censor-behavior determinism smoke: a campaign sweeping every adversarial
 # behavior preset must produce byte-identical sorted rows at workers 1 and
 # 8 — the end-to-end form of the behavior-state-is-seed-derived claim.
