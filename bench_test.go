@@ -154,18 +154,19 @@ func BenchmarkE10_EthicsLoad(b *testing.B) {
 }
 
 func BenchmarkE11_TechniqueMatrix(b *testing.B) {
-	var last *experiments.E11Result
+	var last *experiments.Headline
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.E11TechniqueMatrix(int64(1))
+		r, err := experiments.E11Headline(int64(1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = r
 	}
-	b.ReportMetric(last.OvertAccuracy, "overt-accuracy")
-	b.ReportMetric(last.StealthAccuracy, "stealth-accuracy")
-	b.ReportMetric(last.OvertFlagRate, "overt-flag-rate")
-	b.ReportMetric(last.StealthFlagRate, "stealth-flag-rate")
+	for i, unit := range []string{"correct-frac", "stealth-flagged-frac",
+		"overt-censored-flagged-frac", "overt-open-flagged-frac"} {
+		c := last.Claims[i]
+		b.ReportMetric(float64(c.K)/float64(c.N), unit)
+	}
 }
 
 func BenchmarkE12_Ablations(b *testing.B) {

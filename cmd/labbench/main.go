@@ -1,5 +1,6 @@
 // Command labbench regenerates every table and figure from the paper's
-// evaluation (DESIGN.md §4: experiments E1-E11) and prints them as text.
+// evaluation (DESIGN.md §4: experiments E1-E12) and prints them as text,
+// one experiment at a time in id order.
 //
 // Usage:
 //
@@ -15,15 +16,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"safemeasure/internal/experiments"
 	"safemeasure/internal/spoof"
-	"safemeasure/internal/telemetry"
 )
 
 // renderer is any experiment result.
@@ -33,17 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed for all experiments")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E3); empty runs all")
 	quick := flag.Bool("quick", false, "smaller workloads")
-	parallel := flag.Bool("parallel", false, "run experiments concurrently (each is still internally deterministic)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent experiments with -parallel")
 	flag.Parse()
-
-	selected := map[string]bool{}
-	for _, id := range strings.Split(strings.ToUpper(*only), ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			selected[id] = true
-		}
-	}
-	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
 	scanPorts, spamN, syriaUsers, feasN := 1000, 100, 21000, 100000
 	mvrHorizon := 30 * time.Second
@@ -67,35 +55,32 @@ func main() {
 		{"E8", func() (renderer, error) { return experiments.E8SpoofFeasibility(*seed, feasN) }},
 		{"E9", func() (renderer, error) { return experiments.E9MVR(*seed, mvrHorizon) }},
 		{"E10", func() (renderer, error) { return experiments.E10EthicsLoad(*seed) }},
-		{"E11", func() (renderer, error) { return experiments.E11TechniqueMatrix(*seed) }},
+		{"E11", func() (renderer, error) { return experiments.E11Headline(*seed) }},
 		{"E12", func() (renderer, error) { return experiments.E12Ablations(*seed) }},
 	}
 
-	type outcome struct {
-		id      string
-		text    string
-		elapsed time.Duration
-		err     error
-		skipped bool
-	}
-	var selectedJobs []job
+	// -only must name known experiments: a typo that silently drops an id
+	// would look like a passing run.
+	known := map[string]bool{}
+	var ids []string
 	for _, j := range jobs {
-		if want(j.id) {
-			selectedJobs = append(selectedJobs, j)
+		known[j.id] = true
+		ids = append(ids, j.id)
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(strings.ToUpper(*only), ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
 		}
-	}
-	if len(selectedJobs) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiments matched -only=%q\n", *only)
-		os.Exit(2)
+		if !known[id] {
+			fmt.Fprintf(os.Stderr, "labbench: unknown experiment %q in -only (known: %s)\n", id, strings.Join(ids, ","))
+			os.Exit(2)
+		}
+		selected[id] = true
 	}
 
-	// Experiment wall-clock latency lands in a telemetry histogram so the
-	// footer can report tail latency (p50/p90/p99), not just a mean that a
-	// single slow experiment would hide behind.
-	latency := telemetry.NewRegistry().HistogramBuckets("labbench_experiment_seconds", 1e-3, 2, 24)
-
-	// The first SIGINT/SIGTERM stops launching experiments — the ones
-	// already running finish and their tables still print. Restoring the
+	// The first SIGINT/SIGTERM stops launching experiments — the one
+	// already running finishes and its table still prints. Restoring the
 	// default disposition right after means a second signal kills the
 	// process the ordinary way.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -107,71 +92,31 @@ func main() {
 		if _, ok := <-sigc; !ok {
 			return
 		}
-		fmt.Fprintln(os.Stderr, "labbench: interrupt: finishing running experiments; signal again to exit now")
+		fmt.Fprintln(os.Stderr, "labbench: interrupt: finishing the running experiment; signal again to exit now")
 		signal.Stop(sigc)
 		cancel()
 	}()
 
-	results := make([]outcome, len(selectedJobs))
-	runOne := func(i int) {
-		if ctx.Err() != nil {
-			results[i] = outcome{id: selectedJobs[i].id, skipped: true}
-			return
-		}
-		start := time.Now()
-		res, err := selectedJobs[i].run()
-		elapsed := time.Since(start)
-		latency.Observe(elapsed.Seconds())
-		results[i] = outcome{id: selectedJobs[i].id, elapsed: elapsed, err: err}
-		if err == nil {
-			results[i].text = res.Render()
-		}
-	}
-	if *parallel {
-		// Every experiment builds its own lab and RNGs, so they are
-		// independent; output order stays deterministic because rendering
-		// happens after the join. A semaphore bounds concurrency at
-		// -workers so a wide -only selection cannot oversubscribe the host.
-		n := *workers
-		if n < 1 {
-			n = 1
-		}
-		sem := make(chan struct{}, n)
-		var wg sync.WaitGroup
-		for i := range selectedJobs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range selectedJobs {
-			runOne(i)
-		}
-	}
-
 	var skipped []string
-	for _, r := range results {
-		if r.skipped {
-			skipped = append(skipped, r.id)
+	for _, j := range jobs {
+		if len(selected) > 0 && !selected[j.id] {
 			continue
 		}
-		if r.err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.id, r.err)
+		if ctx.Err() != nil {
+			skipped = append(skipped, j.id)
+			continue
+		}
+		start := time.Now()
+		res, err := j.run()
+		elapsed := time.Since(start)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", j.id, err)
 			os.Exit(1)
 		}
 		fmt.Println(strings.Repeat("=", 78))
-		fmt.Println(r.text)
-		fmt.Printf("[%s completed in %v]\n\n", r.id, r.elapsed.Round(time.Millisecond))
+		fmt.Println(res.Render())
+		fmt.Printf("[%s completed in %v]\n\n", j.id, elapsed.Round(time.Millisecond))
 	}
-	fmt.Println(strings.Repeat("=", 78))
-	fmt.Printf("experiment latency: n=%d mean=%.3fs p50=%.3fs p90=%.3fs p99=%.3fs\n",
-		latency.Count(), latency.Mean(),
-		latency.Quantile(0.50), latency.Quantile(0.90), latency.Quantile(0.99))
 	if len(skipped) > 0 {
 		fmt.Fprintf(os.Stderr, "labbench: interrupted; skipped %s (rerun with -only %s)\n",
 			strings.Join(skipped, ","), strings.Join(skipped, ","))

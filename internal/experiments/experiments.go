@@ -11,7 +11,10 @@
 //	E8  — §4.2: spoofing feasibility (Beverly fractions)
 //	E9  — §2.1: MVR storage/retention model
 //	E10 — §6: ethics load accounting
-//	E11 — headline technique × mechanism matrix
+//	E11 — headline matrix: the campaign engine's default plan at E11Trials
+//	      trials per cell, the uncensored control included, with the
+//	      thesis checked as k/n claims over every run (CheckClaims)
+//	E12 — ablations: MVR discard, censor reassembly, residual blocking
 //
 // Every runner is deterministic for a given seed and returns a result
 // struct with a Render() string that prints the same rows/series the paper

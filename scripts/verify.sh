@@ -191,6 +191,15 @@ rc=0
 "$tmp/campaign" -resume -out - -scenarios open -trials 1 > /dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
 
+# labbench smoke: E11 runs the campaign's default plan and ends with its
+# four claim lines; an unknown -only id is a usage error, not a silent skip.
+go build -o "$tmp/labbench" ./cmd/labbench
+"$tmp/labbench" -only E11 > "$tmp/e11.txt"
+test "$(grep -c '^claim: ' "$tmp/e11.txt")" -eq 4
+rc=0
+"$tmp/labbench" -only E3,E13 -quick > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
+
 # Censor-behavior determinism smoke: a campaign sweeping every adversarial
 # behavior preset must produce byte-identical sorted rows at workers 1 and
 # 8 — the end-to-end form of the behavior-state-is-seed-derived claim.
